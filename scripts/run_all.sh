@@ -54,7 +54,6 @@ run bench_dynamic_graph --scale=$((17 + BOOST)) \
     --trace="$OUT/bench_dynamic_graph_trace.json" \
     --metrics="$OUT/bench_dynamic_graph_metrics.json"
 run bench_autotune --scale=$((14 + BOOST)) --roots=2 \
-    --emit-profile="$OUT/tuned_profile.json" \
     --metrics="$OUT/bench_autotune_metrics.json"
 run bench_vertex_programs --scale=$((16 + BOOST)) \
     --metrics="$OUT/bench_vertex_programs_metrics.json"

@@ -6,9 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "runtime/coll_model.hpp"
-#include "tune/controller.hpp"
-
 namespace numabfs::bfs {
 
 namespace cm = rt::coll_model;
@@ -136,47 +133,63 @@ GateResult gate_bitmap_chunks(
   return res;
 }
 
-void clear_out_bits(rt::Proc& p, const graph::DistGraph& dg, DistState& st,
-                    const UnitCosts& u, sim::Phase phase) {
-  const std::uint64_t block_words = dg.part.block() / 64;
-  auto out_q = st.out_queue(p.rank);
-  const std::uint64_t off = static_cast<std::uint64_t>(p.rank) * block_words;
-  std::memset(out_q.words().data() + off, 0, block_words * 8);
-
-  auto out_s = st.out_summary(p.rank);
-  auto sw = out_s.bits().words();
-  if (!st.shared_out()) {
-    // Private: only our own range was ever set; the whole map is tiny.
-    std::memset(sw.data(), 0, sw.size() * 8);
-    p.charge(phase, u.stream_pass_ns(block_words + sw.size()));
-  } else {
-    // Shared: the node's ranks wipe disjoint word slices of the node map.
-    const int ppn = p.ppn;
-    const std::size_t lo = sw.size() * static_cast<std::size_t>(p.local) /
-                           static_cast<std::size_t>(ppn);
-    const std::size_t hi = sw.size() * static_cast<std::size_t>(p.local + 1) /
-                           static_cast<std::size_t>(ppn);
-    std::memset(sw.data() + lo, 0, (hi - lo) * 8);
-    p.charge(phase, u.stream_pass_ns(block_words + (hi - lo)));
+cm::CollTimes AllgatherPlan::times(const rt::Cluster& c,
+                                   std::uint64_t chunk_bytes) const {
+  switch (kind) {
+    case Kind::private_replicas:
+      if (algo == rt::AllgatherAlgo::flat_ring)
+        return cm::flat_ring(c, chunk_bytes);
+      return cm::leader_allgather(c, chunk_bytes, true, true, 1,
+                                  algo == rt::AllgatherAlgo::leader_rd);
+    case Kind::leader:
+      return cm::leader_allgather(c, chunk_bytes, gather, false, 1);
+    case Kind::subgroups:
+      return cm::leader_allgather(c, chunk_bytes, false, false, c.ppn());
   }
+  return {};
 }
 
-void clear_out_bits_part(rt::Proc& p, const graph::DistGraph& dg,
-                         DistState& st, const UnitCosts& u, sim::Phase phase,
-                         int part) {
-  const std::uint64_t block_bits = dg.part.block();
-  const std::uint64_t block_words = block_bits / 64;
+std::uint64_t AllgatherPlan::assembled_chunks(const rt::Cluster& c) const {
+  return static_cast<std::uint64_t>(kind == Kind::subgroups ? c.topo().nodes()
+                                                            : c.nranks());
+}
+
+AllgatherPlan select_allgather_plan(const rt::Cluster& c, const Config& cfg,
+                                    bool degraded) {
+  AllgatherPlan plan;
+  if (cfg.sharing == Sharing::none || c.ppn() == 1) {
+    plan.algo = cfg.base_algo;
+  } else if (cfg.sharing == Sharing::all && cfg.parallel_allgather &&
+             !degraded) {
+    plan.kind = AllgatherPlan::Kind::subgroups;
+  } else {
+    plan.kind = AllgatherPlan::Kind::leader;
+    plan.gather = cfg.sharing != Sharing::all;
+  }
+  return plan;
+}
+
+void clear_out_bits(rt::Proc& p, const graph::DistGraph& dg, DistState& st,
+                    const UnitCosts& u, sim::Phase phase, int part) {
+  if (part < 0) part = p.rank;
+  const std::uint64_t block_words = dg.part.block() / 64;
   auto out_q = st.out_queue(part);
   const std::uint64_t off = static_cast<std::uint64_t>(part) * block_words;
   std::memset(out_q.words().data() + off, 0, block_words * 8);
 
-  // Unlike the healthy wipe (disjoint local slices of a node map), the dead
-  // owner's summary share has no other writer left, so the adopter clears
-  // exactly the partition's summary range.
-  auto out_s = st.out_summary(part);
-  const auto [sb, se] = summary_range(st, block_bits, part);
-  out_s.bits().clear_range(sb, se);
-  p.charge(phase, u.stream_pass_ns(block_words + (se - sb + 63) / 64));
+  // A private map holds only the partition's own range and is tiny: wipe it
+  // whole. A node map is wiped in ppn disjoint word slices, one per local
+  // index; an adopter wipes its dead partition's slice.
+  auto sw = st.out_summary(part).bits().words();
+  std::size_t lo = 0, hi = sw.size();
+  if (st.shared_out()) {
+    const auto ppn = static_cast<std::size_t>(p.ppn);
+    const auto local = static_cast<std::size_t>(part) % ppn;
+    lo = sw.size() * local / ppn;
+    hi = sw.size() * (local + 1) / ppn;
+  }
+  std::memset(sw.data() + lo, 0, (hi - lo) * 8);
+  p.charge(phase, u.stream_pass_ns(block_words + (hi - lo)));
 }
 
 void discovered_to_out_bits(rt::Proc& p, DistState& st, const UnitCosts& u,
@@ -311,8 +324,7 @@ SparseExchangeStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
   if (wipe_out) {
     clear_out_bits(p, dg, st, u, sim::Phase::switch_conv);
     for (int q : parts)
-      if (q != p.rank)
-        clear_out_bits_part(p, dg, st, u, sim::Phase::switch_conv, q);
+      if (q != p.rank) clear_out_bits(p, dg, st, u, sim::Phase::switch_conv, q);
   }
   p.barrier(world, phase);
   return stats;
@@ -320,8 +332,7 @@ SparseExchangeStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
 
 ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
                                 DistState& st, const UnitCosts& u,
-                                sim::Phase phase, std::span<const int> parts,
-                                tune::ExchangeTuner* tuner) {
+                                sim::Phase phase, std::span<const int> parts) {
   rt::Cluster& c = *p.cluster;
   const faults::FaultInjector* inj = c.injector();
   rt::Comm& world = c.world();
@@ -333,43 +344,21 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
   const std::uint64_t block_bits = dg.part.block();
   const std::uint64_t block_words = block_bits / 64;
   const std::uint64_t g = cfg.summary_granularity;
-  const std::uint64_t summary_bits = st.summary_bits();
   const std::uint64_t qchunk_bytes = block_words * 8;
   const std::uint64_t schunk_bytes = std::max<std::uint64_t>(1, block_bits / (8 * g));
 
   // Degraded mode: with dead ranks, subgroup rings are broken (a color may
-  // be missing on some node) and the wired-in leader may be gone. Fall back
-  // to the leader plan with the lowest live local rank acting as leader.
+  // be missing on some node) and the wired-in leader may be gone. The plan
+  // falls back to the leader plan, with the lowest live local rank acting
+  // as leader.
   const bool degraded = inj != nullptr && inj->any_dead();
   const bool acts_leader =
       degraded ? p.local == inj->lowest_live_local(p.node) : p.is_node_leader();
-  const bool par_plan =
-      st.shared_in() && st.shared_out() && cfg.parallel_allgather && !degraded;
-
-  // The base allgather algorithm and pipeline depth start at the static
-  // Config knobs; an attached online tuner re-picks them per level below.
-  rt::AllgatherAlgo algo = cfg.base_algo;
-
-  // Modeled duration of one allgather under the active plan, as a function
-  // of the per-rank chunk size actually on the wire (shared between the
-  // codec gate's estimates and the final charge, so the gate optimizes the
-  // quantity that is charged).
-  const auto plan_time = [&](std::uint64_t chunk_bytes) -> cm::CollTimes {
-    if (!st.shared_in()) {
-      if (algo == rt::AllgatherAlgo::flat_ring)
-        return cm::flat_ring(c, chunk_bytes);
-      const bool rd = algo == rt::AllgatherAlgo::leader_rd;
-      return cm::leader_allgather(c, chunk_bytes, true, true, 1, rd);
-    }
-    if (!st.shared_out()) return cm::leader_allgather(c, chunk_bytes, true, false, 1);
-    if (!par_plan) return cm::leader_allgather(c, chunk_bytes, false, false, 1);
-    return cm::leader_allgather(c, chunk_bytes, false, false, ppn);
-  };
-
+  const AllgatherPlan plan = select_allgather_plan(c, cfg, degraded);
   // Queue chunks one rank assembles — and therefore decodes — per level.
-  const std::uint64_t assemble_chunks =
-      par_plan ? static_cast<std::uint64_t>(c.topo().nodes())
-               : static_cast<std::uint64_t>(np);
+  const std::uint64_t assemble_chunks = plan.assembled_chunks(c);
+  const int K = std::max(1, cfg.exchange_chunks);
+  const double per_chunk_ns = c.params().chunk_split_overhead_ns;
 
   const auto for_owned_parts = [&](auto&& f) {
     f(p.rank);
@@ -377,46 +366,14 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
       if (q != p.rank) f(q);
   };
 
-  // --- online per-level knob decisions (DESIGN.md §15) ------------------
-  // Inputs are the trailing mean of the gate's allreduced measured chunk
-  // bytes (identical on every rank) and the rank-uniform collective
-  // models, so every rank steps identical arbiter state — the same SPMD
-  // contract as the codec gate itself. Until a measurement exists, the
-  // basis is the raw chunk size, which reproduces the static choice.
-  int K = std::max(1, cfg.exchange_chunks);
-  const double per_chunk_ns = c.params().chunk_split_overhead_ns;
-  if (tuner != nullptr) {
-    const std::uint64_t basis =
-        tuner->ready() ? tuner->trailing_chunk_bytes() : block_words * 8;
-    if (tuner->adapt_allgather() && !st.shared_in()) {
-      std::vector<double> algo_costs;
-      for (int a : tuner->algo_candidates()) {
-        algo = static_cast<rt::AllgatherAlgo>(a);
-        algo_costs.push_back(plan_time(basis).total_ns);
-      }
-      algo = static_cast<rt::AllgatherAlgo>(
-          tuner->algo_candidates()[static_cast<size_t>(
-              tuner->algo_arbiter().decide(algo_costs))]);
-    }
-    if (tuner->adapt_chunks()) {
-      const double wire_est = plan_time(basis).total_ns;
-      const double dec_est = u.stream_pass_ns(assemble_chunks * block_words);
-      std::vector<double> k_costs;
-      for (int k : tuner->k_candidates())
-        k_costs.push_back(cm::pipelined2_ns(wire_est, dec_est, k) +
-                          static_cast<double>(k - 1) * per_chunk_ns);
-      K = tuner->k_candidates()[static_cast<size_t>(
-          tuner->k_arbiter().decide(k_costs))];
-    }
-  }
-
   // --- per-level codec gate (DESIGN.md §10) -----------------------------
   // Every rank computes the same decision from allreduced measured sparsity
   // and rank-uniform unit costs — the same SPMD-deterministic pattern as
   // the MS-BFS kernel chooser. A level near 50% density estimates above the
   // raw wire cost and stays raw. The machinery itself is shared with the
   // 2-D exchange (gate_bitmap_chunks); this call site only describes the
-  // 1-D out_queue chunks and the active allgather plan.
+  // 1-D out_queue chunks and the plan's modeled duration, so the gate
+  // optimizes the quantity that is charged.
   std::vector<GateChunk> gate_chunks;
   for_owned_parts([&](int q) {
     GateChunk ch;
@@ -430,13 +387,11 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
   const GateResult gate = gate_bitmap_chunks(
       p, world, cfg.codec, K, gate_chunks, block_words, block_bits,
       assemble_chunks, u, phase,
-      [&](std::uint64_t b) { return plan_time(b).total_ns; }, per_chunk_ns);
+      [&](std::uint64_t b) { return plan.times(c, b).total_ns; },
+      per_chunk_ns);
   const codec::Kind kind = gate.kind;
   const double enc_ns = gate.encode_ns;
   const std::uint64_t wire_chunk = gate.wire_chunk_bytes;
-  // Feed the measured (allreduced) chunk size back into the tuner's
-  // trailing window for the next level's decisions.
-  if (tuner != nullptr) tuner->observe(wire_chunk);
 
   // --- data-plumbing helpers (real movement; time is modeled below) -----
   const auto copy_queue_chunk = [&](graph::BitmapView dst, int src_rank) {
@@ -463,11 +418,7 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
   };
   const auto copy_summary_range = [&](graph::SummaryView dst, int src_rank,
                                       bool atomic) {
-    const std::uint64_t sb =
-        static_cast<std::uint64_t>(src_rank) * block_bits / g;
-    const std::uint64_t se = std::min(
-        summary_bits,
-        (static_cast<std::uint64_t>(src_rank + 1) * block_bits + g - 1) / g);
+    const auto [sb, se] = summary_range(st, block_bits, src_rank);
     if (sb >= se) return;
     auto src_s = st.out_summary(src_rank);
     graph::copy_bits(dst.bits().words(), sb, src_s.bits().words(), sb, se - sb,
@@ -484,33 +435,22 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
   // The queue allgather is modeled on `wire_chunk` — the measured encoded
   // chunk when a codec is active, the raw chunk otherwise. The summary
   // allgather always rides raw (it is itself the compressed digest).
-  cm::CollTimes qt = plan_time(wire_chunk);
-  cm::CollTimes ss = plan_time(schunk_bytes);
+  cm::CollTimes qt = plan.times(c, wire_chunk);
+  cm::CollTimes ss = plan.times(c, schunk_bytes);
   auto in_q = st.in_queue(p.rank);
   auto in_s = st.in_summary(p.rank);
 
-  if (!st.shared_in()) {
-    // "Original": private replicas, library allgather over all np ranks.
+  // "Original": private replicas, library allgather over all np ranks.
+  // "+ Share in_queue" / "+ Share all": the leader rings directly into the
+  // node-shared in_queue; the broadcast step is gone (Fig. 5b), and with
+  // shared out slabs the gather step too. The leader plan is also the
+  // degraded fallback for the parallel plan below.
+  if (plan.kind == AllgatherPlan::Kind::private_replicas ||
+      (plan.kind == AllgatherPlan::Kind::leader && acts_leader)) {
     for (int r = 0; r < np; ++r) copy_queue_chunk(in_q, r);
     memset_summary(in_s);
     for (int r = 0; r < np; ++r) copy_summary_range(in_s, r, false);
-  } else if (!st.shared_out()) {
-    // "+ Share in_queue": gather to leader, leaders ring directly into the
-    // node-shared in_queue; the broadcast step is gone (Fig. 5b).
-    if (acts_leader) {
-      for (int r = 0; r < np; ++r) copy_queue_chunk(in_q, r);
-      memset_summary(in_s);
-      for (int r = 0; r < np; ++r) copy_summary_range(in_s, r, false);
-    }
-  } else if (!par_plan) {
-    // "+ Share all": out slabs are shared too; the gather step is gone.
-    // (Also the degraded fallback for the parallel plan below.)
-    if (acts_leader) {
-      for (int r = 0; r < np; ++r) copy_queue_chunk(in_q, r);
-      memset_summary(in_s);
-      for (int r = 0; r < np; ++r) copy_summary_range(in_s, r, false);
-    }
-  } else {
+  } else if (plan.kind == AllgatherPlan::Kind::subgroups) {
     // "+ Par allgather": ppn subgroups ring concurrently (Fig. 7), each
     // assembling its color's slice of every node chunk in place.
     if (p.is_node_leader()) memset_summary(in_s);
@@ -547,9 +487,7 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
   p.charge(phase, total_ns);
   p.barrier(world, phase);  // the collective completes together
 
-  clear_out_bits(p, dg, st, u, phase);
-  for (int q : parts)
-    if (q != p.rank) clear_out_bits_part(p, dg, st, u, phase, q);
+  for_owned_parts([&](int q) { clear_out_bits(p, dg, st, u, phase, q); });
   p.barrier(world, sim::Phase::stall);  // wipes land before the next level
 
   ExchangeTimes ex;
@@ -564,8 +502,6 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
   ex.overlap_saved_ns = overlap_saved;
   ex.chunk_raw_bytes = qchunk_bytes;
   ex.chunk_wire_bytes = wire_chunk;
-  ex.chunks_used = kind != codec::Kind::raw ? K : 1;
-  ex.algo_used = st.shared_in() ? -1 : static_cast<int>(algo);
   return ex;
 }
 
@@ -580,13 +516,11 @@ ExchangeLevelStats OneDExchange::exchange(rt::Proc& p, int cur_dir,
     if (cur_dir == 0)
       for (int q : parts) discovered_to_out_bits(p, st_, u_, q);
     const ExchangeTimes ex =
-        exchange_frontier(p, dg_, st_, u_, sim::Phase::bu_comm, parts, tuner_);
+        exchange_frontier(p, dg_, st_, u_, sim::Phase::bu_comm, parts);
     s.codec = ex.codec;
     s.wire_bytes = ex.chunk_wire_bytes;
     s.raw_bytes = ex.chunk_raw_bytes;
     s.bitmap = true;
-    s.chunks = ex.chunks_used;
-    s.algo = ex.algo_used;
   } else {
     // Next level is top-down: the sparse list exchange suffices; when
     // leaving bottom-up, the stale out bitmaps are wiped on the way.

@@ -18,18 +18,48 @@
 #include <optional>
 #include <span>
 
+#include "bfs/config.hpp"
 #include "bfs/costs.hpp"
 #include "bfs/state.hpp"
 #include "graph/codec.hpp"
 #include "graph/dist_graph.hpp"
 #include "graph/summary.hpp"
 #include "runtime/cluster.hpp"
-
-namespace numabfs::tune {
-class ExchangeTuner;
-}  // namespace numabfs::tune
+#include "runtime/coll_model.hpp"
 
 namespace numabfs::bfs {
+
+/// The collective plan of one 1-D frontier allgather (Figs. 5b and 7). It
+/// is fixed by the configuration and the cluster shape, and shared by the
+/// hybrid BFS exchange and the engine's lane/program exchanges.
+struct AllgatherPlan {
+  enum class Kind {
+    private_replicas,  ///< every rank assembles its replica (library allgather)
+    leader,            ///< one rank per node assembles the node-shared replica
+    subgroups,         ///< ppn colors ring concurrently, each its slice (Fig. 7)
+  };
+  Kind kind = Kind::private_replicas;
+  /// Library algorithm of the private plan (leader plans ring the leaders).
+  rt::AllgatherAlgo algo = rt::AllgatherAlgo::flat_ring;
+  /// Leader plan only: the out chunks are private (Sharing::in_queue), so
+  /// the node's ranks gather them to the leader first.
+  bool gather = false;
+
+  /// Modeled duration of the plan for `chunk_bytes` per rank on the wire.
+  rt::coll_model::CollTimes times(const rt::Cluster& c,
+                                  std::uint64_t chunk_bytes) const;
+  /// Chunks one assembling rank lands (and decodes, when coded) per
+  /// exchange: one per node for a subgroup color, every rank's otherwise.
+  std::uint64_t assembled_chunks(const rt::Cluster& c) const;
+};
+
+/// The one place the 1-D plan is chosen. Frontiers are node-shared only
+/// when `cfg.sharing` asks for it and the node has more than one rank; the
+/// subgroup plan additionally needs Sharing::all, parallel_allgather and a
+/// crash-free run (`degraded` = some rank has died: a color may be missing
+/// on a node, so its ring is broken and the leader plan takes over).
+AllgatherPlan select_allgather_plan(const rt::Cluster& c, const Config& cfg,
+                                    bool degraded);
 
 /// Breakdown of the modeled exchange duration (for Figs. 6/12/13), plus the
 /// codec outcome when Config::codec is active (DESIGN.md §10).
@@ -46,8 +76,6 @@ struct ExchangeTimes {
   double overlap_saved_ns = 0;  ///< wire/decode pipelining gain
   std::uint64_t chunk_raw_bytes = 0;   ///< per-rank raw contribution
   std::uint64_t chunk_wire_bytes = 0;  ///< what actually rides the wire
-  int chunks_used = 1;   ///< pipeline depth K this exchange actually rode
-  int algo_used = -1;    ///< rt::AllgatherAlgo as int; -1 = shared-memory plan
 };
 
 /// What the sparse (top-down) exchange moved, for per-level accounting.
@@ -62,15 +90,10 @@ struct SparseExchangeStats {
 /// out_queue chunks, then wipe the out structures. SPMD: all ranks call.
 /// Charges the modeled duration to `phase`. `parts` lists the caller's
 /// partitions (empty = own rank only).
-/// `tuner` (optional, per-rank but identically-stated on every rank) lets
-/// the exchange re-pick its pipeline depth K and base allgather algorithm
-/// per level from trailing allreduced measurements (DESIGN.md §15); null
-/// keeps the static Config knobs.
 ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
                                 DistState& st, const UnitCosts& u,
                                 sim::Phase phase,
-                                std::span<const int> parts = {},
-                                tune::ExchangeTuner* tuner = nullptr);
+                                std::span<const int> parts = {});
 
 /// Sparse exchange (used when the next level is top-down): allgatherv of
 /// the per-rank discovered-vertex lists into every rank's replicated
@@ -91,16 +114,13 @@ SparseExchangeStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
 void discovered_to_out_bits(rt::Proc& p, DistState& st, const UnitCosts& u,
                             int part = -1);
 
-/// Wipe this rank's out_queue chunk and out_summary share (used on the
-/// bu -> td path, where no bitmap exchange performs the wipe).
+/// Wipe partition `part`'s out_queue chunk and its share of the out
+/// summary: the whole map when private, else the word slice of the node map
+/// that belongs to the partition's local index. The slices are disjoint, so
+/// every summary word has one writer, also when an adopter wipes on behalf
+/// of a crashed owner. `part` = -1 wipes the caller's own partition.
 void clear_out_bits(rt::Proc& p, const graph::DistGraph& dg, DistState& st,
-                    const UnitCosts& u, sim::Phase phase);
-
-/// Wipe partition `part`'s out_queue chunk and out_summary range on behalf
-/// of a crashed owner (fault recovery only; the caller adopted `part`).
-void clear_out_bits_part(rt::Proc& p, const graph::DistGraph& dg,
-                         DistState& st, const UnitCosts& u, sim::Phase phase,
-                         int part);
+                    const UnitCosts& u, sim::Phase phase, int part = -1);
 
 // --- decomposition-agnostic codec gate (DESIGN.md §10/§13) ---------------
 // The per-level gate decides raw vs coded from allreduced *measured*
@@ -157,8 +177,6 @@ struct ExchangeLevelStats {
   std::uint64_t wire_bytes = 0;  ///< measured bytes on the wire
   std::uint64_t raw_bytes = 0;   ///< their uncoded equivalent
   bool bitmap = false;           ///< bitmap family (vs sparse-list family)
-  int chunks = 1;  ///< pipeline depth K the exchange rode (bitmap family)
-  int algo = -1;   ///< rt::AllgatherAlgo as int; -1 = shared-memory plan
 };
 
 /// The communication step between two BFS levels, behind which both the
@@ -181,11 +199,8 @@ class FrontierExchange {
 /// (materializing the discovered list into out bits on a td -> bu switch).
 class OneDExchange final : public FrontierExchange {
  public:
-  /// `tuner` (optional): the per-rank online controller for K and the
-  /// allgather algorithm; identical state on every rank (DESIGN.md §15).
-  OneDExchange(const graph::DistGraph& dg, DistState& st, const UnitCosts& u,
-               tune::ExchangeTuner* tuner = nullptr)
-      : dg_(dg), st_(st), u_(u), tuner_(tuner) {}
+  OneDExchange(const graph::DistGraph& dg, DistState& st, const UnitCosts& u)
+      : dg_(dg), st_(st), u_(u) {}
   const char* name() const override { return "1d"; }
   ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
                               std::span<const int> parts) override;
@@ -194,7 +209,6 @@ class OneDExchange final : public FrontierExchange {
   const graph::DistGraph& dg_;
   DistState& st_;
   const UnitCosts& u_;
-  tune::ExchangeTuner* tuner_ = nullptr;
 };
 
 }  // namespace numabfs::bfs

@@ -1,15 +1,12 @@
 #include "bfs/hybrid.hpp"
 
 #include <atomic>
-#include <cmath>
 #include <cstring>
-#include <optional>
 
 #include "bfs/exchange.hpp"
 #include "bfs/kernels.hpp"
 #include "faults/errors.hpp"
 #include "runtime/allgather.hpp"
-#include "tune/controller.hpp"
 
 namespace numabfs::bfs {
 
@@ -138,10 +135,7 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
     std::uint64_t visited = 1;  // root
     std::vector<std::uint64_t> frontier_sizes;  // per level (input frontier)
     std::vector<std::uint64_t> discovered;      // per level
-    std::vector<int> ex_codec;   // codec of the exchange after each level
-    std::vector<int> ex_chunks;  // its pipeline depth K (-1: none/sparse)
-    std::vector<int> ex_algo;    // its allgather algo (-1: none/shared)
-    int dir_switches = 0, k_switches = 0, ag_switches = 0;
+    std::vector<int> ex_codec;  // codec of the exchange after each level
   } shared;
 
   // Host-side per-rank, per-level measurements (no virtual-time impact).
@@ -173,21 +167,7 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
     rt::Comm& world = c.world();
     const auto& lg = dg.locals[static_cast<size_t>(p.rank)];
 
-    // Online controllers (DESIGN.md §15): per-rank objects, but every input
-    // they consume is allreduced or rank-uniform, so all ranks step
-    // identical state and reach identical decisions. With every tune flag
-    // off nothing is constructed and no extra reduction runs — the run is
-    // bit-identical to a controller-free build.
-    const tune::KnobPolicy pol{cfg.tune.hysteresis, cfg.tune.dwell};
-    std::optional<tune::DirectionController> dctl;
-    if (cfg.tune.adapt_direction && cfg.direction == Direction::hybrid)
-      dctl.emplace(cfg.tune.window, pol);
-    std::optional<tune::ExchangeTuner> xtuner;
-    if (cfg.tune.adapt_chunks || cfg.tune.adapt_allgather)
-      xtuner.emplace(cfg.tune.adapt_chunks, cfg.tune.adapt_allgather,
-                     cfg.tune.window, pol, std::max(1, cfg.exchange_chunks),
-                     static_cast<int>(cfg.base_algo));
-    OneDExchange exchanger(dg, st, u, xtuner ? &*xtuner : nullptr);
+    OneDExchange exchanger(dg, st, u);
     // The partitions this rank executes: its own, plus any adopted from
     // crashed ranks. Recomputed whenever a death is detected.
     std::vector<int> parts{p.rank};
@@ -212,7 +192,6 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
     }
 
     std::uint64_t prev_nf = 1;  // the root seeds level 0's frontier
-    std::uint64_t visited_total = 1;  // rank-uniform (allreduced nf sums)
     int level = 0;
     int handled_dead = 0;
     for (;;) {
@@ -253,9 +232,6 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
         lr.discovered_edges += qr.discovered_edges;
         my_rem += st.unvisited_edges(q);
       }
-      const double kernel_ns = p.clock.now_ns() - kernel_t0;
-      const std::uint64_t kernel_edges =
-          p.prof.counters().edges_scanned - edges0;
       p.trace_span(obs::kCatBfs, dir == 0 ? "td_kernel" : "bu_kernel",
                    kernel_t0, p.clock.now_ns(),
                    obs::kv("level", level) + "," +
@@ -293,22 +269,6 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
         continue;  // re-run the level (level/dir/prev_nf unchanged)
       }
 
-      // Completed-level accounting for the direction controller: the level
-      // survived crash detection, so its measurements are final. The two
-      // extra allreduces run only when the controller is engaged, keeping
-      // controller-off runs free of any perturbation.
-      const std::uint64_t unvisited_before = n - visited_total;
-      visited_total += nf;
-      if (dctl) {
-        const std::uint64_t lvl_ns_sum = rt::allreduce_sum(
-            p, world, static_cast<std::uint64_t>(std::llround(kernel_ns)),
-            sim::Phase::stall);
-        const std::uint64_t lvl_edges =
-            rt::allreduce_sum(p, world, kernel_edges, sim::Phase::stall);
-        dctl->observe(dir, static_cast<double>(lvl_ns_sum), lvl_edges,
-                      unvisited_before);
-      }
-
       const int recorder = inj != nullptr ? inj->lowest_live() : 0;
       if (p.rank == recorder) {
         shared.directions.push_back(dir);
@@ -333,11 +293,7 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
         rank_levels[static_cast<size_t>(p.rank)].push_back(rl);
       };
       if (nf == 0) {
-        if (p.rank == recorder) {
-          shared.ex_codec.push_back(-1);  // no exchange
-          shared.ex_chunks.push_back(-1);
-          shared.ex_algo.push_back(-1);
-        }
+        if (p.rank == recorder) shared.ex_codec.push_back(-1);  // no exchange
         record_level();
         p.trace_span(obs::kCatBfs, "level " + std::to_string(level), level_t0,
                      p.clock.now_ns(),
@@ -353,19 +309,12 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
       const bool growing = nf > frontier_prev_count;
       int next = dir;
       if (cfg.direction == Direction::hybrid) {
-        if (dctl) {
-          // Measured-rate choice once both directions have history; the
-          // static Beamer thresholds until then (controller.hpp).
-          next = dctl->decide(dir, growing, nf, mf, rem, n - visited_total, n,
-                              cfg.alpha, cfg.beta);
-        } else if (dir == 0 && growing &&
-                   static_cast<double>(mf) >
-                       static_cast<double>(rem) / cfg.alpha) {
+        if (dir == 0 && growing &&
+            static_cast<double>(mf) > static_cast<double>(rem) / cfg.alpha)
           next = 1;
-        } else if (dir == 1 && static_cast<double>(nf) <
-                                   static_cast<double>(n) / cfg.beta) {
+        else if (dir == 1 &&
+                 static_cast<double>(nf) < static_cast<double>(n) / cfg.beta)
           next = 0;
-        }
       }
 
       // The bitmap allgathers belong to the bottom-up procedure (Fig. 1);
@@ -380,8 +329,6 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
       if (p.rank == recorder) {
         (ex.bitmap ? shared.bu_ex : shared.td_ex)++;
         shared.ex_codec.push_back(static_cast<int>(ex.codec));
-        shared.ex_chunks.push_back(ex.bitmap ? ex.chunks : -1);
-        shared.ex_algo.push_back(ex.bitmap ? ex.algo : -1);
       }
       record_level();
       p.trace_span(obs::kCatBfs, "level " + std::to_string(level), level_t0,
@@ -392,12 +339,6 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
       ++level;
     }
 
-    const int recorder = inj != nullptr ? inj->lowest_live() : 0;
-    if (p.rank == recorder) {
-      shared.dir_switches = dctl ? dctl->switches() : 0;
-      shared.k_switches = xtuner ? xtuner->k_switches() : 0;
-      shared.ag_switches = xtuner ? xtuner->algo_switches() : 0;
-    }
     p.barrier(world, sim::Phase::stall);
   });
 
@@ -414,9 +355,6 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
   out.bu_exchanges = shared.bu_ex;
   out.recoveries = recoveries.load(std::memory_order_relaxed);
   out.ranks_lost = inj != nullptr ? inj->dead_count() : 0;
-  out.tune_direction_switches = shared.dir_switches;
-  out.tune_chunk_switches = shared.k_switches;
-  out.tune_allgather_switches = shared.ag_switches;
 
   sim::PhaseProfile sum;
   sim::PhaseProfile mx;
@@ -444,8 +382,6 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
     t.frontier_vertices = shared.frontier_sizes[lvl];
     t.discovered = shared.discovered[lvl];
     if (lvl < shared.ex_codec.size()) t.exchange_codec = shared.ex_codec[lvl];
-    if (lvl < shared.ex_chunks.size()) t.exchange_chunks = shared.ex_chunks[lvl];
-    if (lvl < shared.ex_algo.size()) t.exchange_algo = shared.ex_algo[lvl];
     for (const auto& rl : rank_levels) {
       if (lvl >= rl.size()) continue;
       t.edges_scanned += rl[lvl].edges;

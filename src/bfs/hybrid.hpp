@@ -33,11 +33,6 @@ struct LevelTrace {
   /// Codec the exchange after this level rode: graph::codec::Kind as int
   /// (0 raw, 1 sparse, 2 dense); -1 for the final level (no exchange).
   int exchange_codec = -1;
-  /// Pipeline depth K of that exchange (-1: final level / sparse family).
-  int exchange_chunks = -1;
-  /// rt::AllgatherAlgo of that exchange as int (-1: final level, sparse
-  /// family, or a shared-memory plan that doesn't consult base_algo).
-  int exchange_algo = -1;
   /// Measured wire bytes of this level's exchange, summed over ranks, and
   /// what they would have been uncoded. Equal when the codec is off.
   std::uint64_t wire_bytes = 0;
@@ -75,11 +70,6 @@ struct BfsRunResult {
   int recoveries = 0;  ///< level re-runs after detecting crashed ranks
   int ranks_lost = 0;  ///< ranks dead by the end of the traversal
   std::vector<int> directions;  ///< 0 = top-down, 1 = bottom-up, per level
-
-  /// Online-controller switch counts (0 when Config::tune is all-off).
-  int tune_direction_switches = 0;
-  int tune_chunk_switches = 0;
-  int tune_allgather_switches = 0;
 
   sim::PhaseProfile profile_avg;  ///< mean over ranks
   sim::PhaseProfile profile_max;  ///< per-phase max over ranks

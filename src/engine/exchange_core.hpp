@@ -10,15 +10,16 @@
 /// The caller owns the wire format: it measures its chunks, runs the codec
 /// gate, and hands this core the resulting `chunk_bytes` plus three hooks
 /// that know how to land a partition's chunk in the replicated arrays. The
-/// core owns the plan selection, the modeled collective time, the charges
-/// and the barriers — in exactly the order the MS-BFS exchange established,
-/// so refactoring onto it is bit-identical in virtual time.
+/// plan itself is bfs::select_allgather_plan's, the same choice the hybrid
+/// BFS exchange makes; the core owns the modeled collective time, the
+/// charges and the barriers, in the order the MS-BFS exchange established.
 
 #include <cstdint>
 #include <functional>
 
 #include "bfs/config.hpp"
 #include "bfs/costs.hpp"
+#include "bfs/exchange.hpp"
 #include "faults/injector.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/coll_model.hpp"
@@ -42,7 +43,6 @@ struct ExchangeHooks {
 struct ExchangeShape {
   std::uint64_t chunk_bytes = 0;  ///< modeled wire bytes of one chunk
   std::uint64_t sum_words = 0;    ///< replica summary words (merge pass)
-  bool shared = false;            ///< node-shared replicas (Sharing != none)
   bool presence_coded = false;    ///< presence bitmap went over coded
   /// 64-bit words one chunk's presence bitmap decodes into (the overlap
   /// model's per-chunk decode size when presence_coded).
@@ -71,35 +71,22 @@ inline void run_exchange_plan(rt::Proc& p, const bfs::Config& cfg,
 
   p.barrier(world, sim::Phase::stall);  // every partition's out words ready
 
-  cm::CollTimes qt;
-  if (!shape.shared) {
-    // Private replicas: library allgather over all np ranks.
-    if (cfg.base_algo == rt::AllgatherAlgo::flat_ring) {
-      qt = cm::flat_ring(c, shape.chunk_bytes);
-    } else {
-      const bool rd = cfg.base_algo == rt::AllgatherAlgo::leader_rd;
-      qt = cm::leader_allgather(c, shape.chunk_bytes, true, true, 1, rd);
-    }
+  using Kind = bfs::AllgatherPlan::Kind;
+  const bfs::AllgatherPlan plan = bfs::select_allgather_plan(c, cfg, degraded);
+  const cm::CollTimes qt = plan.times(c, shape.chunk_bytes);
+  if (plan.kind == Kind::private_replicas ||
+      (plan.kind == Kind::leader && acts_leader)) {
+    // Private replicas: every rank assembles its own. Node-shared frontier:
+    // the leader assembles it; the broadcast step is gone, and sharing the
+    // out slabs too (Sharing::all) drops the gather step as well.
     for (int r = 0; r < np; ++r) hooks.copy_block(r);
     hooks.reset_summary();
     for (int r = 0; r < np; ++r) hooks.merge_summary(r);
     p.charge(phase, u.stream_pass_ns(shape.sum_words));
-  } else if (!cfg.parallel_allgather || degraded) {
-    // Node-shared frontier: the broadcast step is gone; sharing the out
-    // slabs too (Sharing::all) drops the gather step as well.
-    const bool with_gather = cfg.sharing != bfs::Sharing::all;
-    qt = cm::leader_allgather(c, shape.chunk_bytes, with_gather, false, 1);
-    if (acts_leader) {
-      for (int r = 0; r < np; ++r) hooks.copy_block(r);
-      hooks.reset_summary();
-      for (int r = 0; r < np; ++r) hooks.merge_summary(r);
-      p.charge(phase, u.stream_pass_ns(shape.sum_words));
-    }
-  } else {
+  } else if (plan.kind == Kind::subgroups) {
     // Parallel subgroups (Fig. 7): each color assembles its slice of every
     // node chunk in place; blocks are word-disjoint, so no atomics needed.
     // The shared summary needs one wipe before the colors' atomic merges.
-    qt = cm::leader_allgather(c, shape.chunk_bytes, false, false, ppn);
     rt::Comm& node = c.node_comm(p.node);
     if (p.is_node_leader()) {
       hooks.reset_summary();
@@ -121,11 +108,8 @@ inline void run_exchange_plan(rt::Proc& p, const bfs::Config& cfg,
   if (shape.presence_coded) {
     // Chunk-pipelined overlap of the presence-bitmap decode with the wire
     // (coll_model::pipelined2_ns), as in the hybrid exchange.
-    const bool par_plan = shape.shared && cfg.parallel_allgather && !degraded;
-    const std::uint64_t dec_chunks =
-        par_plan ? static_cast<std::uint64_t>(c.topo().nodes())
-                 : static_cast<std::uint64_t>(np);
-    const double dec_ns = u.stream_pass_ns(dec_chunks * shape.decode_words);
+    const double dec_ns =
+        u.stream_pass_ns(plan.assembled_chunks(c) * shape.decode_words);
     const double seq_ns = total_ns + dec_ns;
     total_ns = cm::pipelined2_ns(total_ns, dec_ns,
                                  std::max(1, cfg.exchange_chunks));

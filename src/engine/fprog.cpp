@@ -184,7 +184,6 @@ void prog_exchange(rt::Proc& p, ProgramState& ps, const bfs::UnitCosts& u,
   ExchangeShape shape;
   shape.chunk_bytes = chunk_bytes;
   shape.sum_words = (ps.summary_bits() + 63) / 64;
-  shape.shared = ps.shared_frontier();
   shape.presence_coded = presence_coded;
   shape.decode_words = wpb;
   run_exchange_plan(p, cfg, u, phase, shape, hooks);

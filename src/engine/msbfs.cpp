@@ -391,7 +391,6 @@ void wave_exchange(rt::Proc& p, const graph::DistGraph& dg, WaveState& ws,
   ExchangeShape shape;
   shape.chunk_bytes = chunk_bytes;
   shape.sum_words = (ws.summary_bits() + 63) / 64;
-  shape.shared = ws.shared_frontier();
   shape.presence_coded = presence_coded;
   shape.decode_words = (block + 63) / 64;
   run_exchange_plan(p, cfg, u, phase, shape, hooks);

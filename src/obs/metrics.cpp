@@ -8,6 +8,18 @@
 
 namespace obs {
 
+namespace {
+
+/// Appends `"name":` piece by piece (chained operator+ temporaries trip
+/// GCC 12's -Wrestrict false positive in Release builds).
+void append_key(std::string& out, const std::string& name) {
+  out += '"';
+  out += json_escape(name);
+  out += "\":";
+}
+
+}  // namespace
+
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)) {
   if (!std::is_sorted(bounds_.begin(), bounds_.end()) ||
@@ -48,21 +60,24 @@ std::string Registry::json() const {
   for (const auto& [name, c] : counters_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(name) + "\":" + std::to_string(c.value);
+    append_key(out, name);
+    out += std::to_string(c.value);
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, g] : gauges_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(name) + "\":" + fmt_double(g.value);
+    append_key(out, name);
+    out += fmt_double(g.value);
   }
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(name) + "\":{\"bounds\":[";
+    append_key(out, name);
+    out += "{\"bounds\":[";
     for (std::size_t i = 0; i < h.bounds().size(); ++i) {
       if (i != 0) out += ",";
       out += fmt_double(h.bounds()[i]);

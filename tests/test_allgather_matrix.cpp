@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <tuple>
 
 #include "bfs/config.hpp"
@@ -79,8 +80,9 @@ TEST_P(AllgatherMatrix, DataIdenticalAcrossAlgorithms) {
 
 std::string matrix_name(const ::testing::TestParamInfo<Param>& ti) {
   const auto [nodes, ppn, words, algo] = ti.param;
-  return "n" + std::to_string(nodes) + "_p" + std::to_string(ppn) + "_w" +
-         std::to_string(words) + "_" + to_string(algo);
+  std::ostringstream os;
+  os << "n" << nodes << "_p" << ppn << "_w" << words << "_" << to_string(algo);
+  return os.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -181,8 +183,9 @@ TEST_P(BfsWireConservation, RawPathMatchesPlanFormula) {
 
 std::string wire_name(const ::testing::TestParamInfo<WireParam>& ti) {
   const auto [nodes, ppn, v] = ti.param;
-  return "n" + std::to_string(nodes) + "_p" + std::to_string(ppn) + "_v" +
-         std::to_string(v);
+  std::ostringstream os;
+  os << "n" << nodes << "_p" << ppn << "_v" << v;
+  return os.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, BfsWireConservation,

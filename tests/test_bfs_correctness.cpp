@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <tuple>
 
 #include "bfs/hybrid.hpp"
@@ -73,9 +74,10 @@ TEST_P(BfsVariants, ProducesValidGraph500Tree) {
 }
 
 std::string variant_shape_name(const ::testing::TestParamInfo<VariantShape>& ti) {
-  return "v" + std::to_string(std::get<0>(ti.param)) + "_n" +
-         std::to_string(std::get<1>(ti.param)) + "_ppn" +
-         std::to_string(std::get<2>(ti.param));
+  const auto [v, nodes, ppn] = ti.param;
+  std::ostringstream os;
+  os << "v" << v << "_n" << nodes << "_ppn" << ppn;
+  return os.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(

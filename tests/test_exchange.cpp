@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bfs/exchange.hpp"
 #include "graph/rmat.hpp"
+#include "runtime/coll_model.hpp"
 
 namespace numabfs::bfs {
 namespace {
@@ -192,6 +195,97 @@ TEST(Exchange, ShareReducesModeledTotal) {
     EXPECT_LT(total, prev) << "plan " << plan;
     prev = total;
   }
+}
+
+// One row per documented 1-D plan: which plan a (sharing, parallel_allgather,
+// base_algo, degraded, ppn) configuration selects, and the collective model
+// that plan charges. Every valid combination is enumerated; the private plan
+// ignores `degraded`, and ppn == 1 leaves nothing to share.
+TEST(AllgatherPlanSelection, EveryConfigurationPicksTheDocumentedPlan) {
+  namespace cm = rt::coll_model;
+  using Kind = AllgatherPlan::Kind;
+  using Algo = rt::AllgatherAlgo;
+  constexpr int kNodes = 4;
+  constexpr std::uint64_t kChunk = 4096;
+
+  struct Expected {
+    const char* name;
+    Kind kind;
+    cm::CollTimes times;
+  };
+  // The documented plan of one configuration.
+  const auto documented = [&](const rt::Cluster& c, Sharing sharing, bool par,
+                              Algo algo, bool degraded) -> Expected {
+    if (sharing == Sharing::none || c.ppn() == 1) {
+      switch (algo) {
+        case Algo::flat_ring:
+          return {"flat ring", Kind::private_replicas, cm::flat_ring(c, kChunk)};
+        case Algo::leader_ring:
+          return {"leader with broadcast", Kind::private_replicas,
+                  cm::leader_allgather(c, kChunk, true, true, 1)};
+        case Algo::leader_rd:
+          return {"leader-rd", Kind::private_replicas,
+                  cm::leader_allgather(c, kChunk, true, true, 1, true)};
+      }
+    }
+    if (par && !degraded)
+      return {"parallel subgroups", Kind::subgroups,
+              cm::leader_allgather(c, kChunk, false, false, c.ppn())};
+    if (sharing == Sharing::in_queue)
+      return {"leader with gather, no broadcast", Kind::leader,
+              cm::leader_allgather(c, kChunk, true, false, 1)};
+    return {"leader, no gather, no broadcast", Kind::leader,
+            cm::leader_allgather(c, kChunk, false, false, 1)};
+  };
+
+  int cases = 0;
+  for (int ppn : {1, 4}) {
+    const rt::Cluster c(sim::Topology::xeon_x7550_cluster(kNodes),
+                        sim::CostParams{}, ppn);
+    for (Sharing sharing : {Sharing::none, Sharing::in_queue, Sharing::all})
+      for (bool par : {false, true}) {
+        if (par && sharing != Sharing::all) continue;  // fails validate()
+        for (Algo algo : {Algo::flat_ring, Algo::leader_ring, Algo::leader_rd})
+          for (bool degraded : {false, true}) {
+            Config cfg;
+            cfg.sharing = sharing;
+            cfg.parallel_allgather = par;
+            cfg.base_algo = algo;
+            ASSERT_TRUE(cfg.validate().empty());
+            const Expected want = documented(c, sharing, par, algo, degraded);
+            const AllgatherPlan got = select_allgather_plan(c, cfg, degraded);
+            const cm::CollTimes t = got.times(c, kChunk);
+            const std::string where =
+                std::string(want.name) + " (sharing " + to_string(sharing) +
+                (par ? ", par" : "") + ", " + rt::to_string(algo) +
+                (degraded ? ", degraded" : "") + ", ppn " +
+                std::to_string(ppn) + ")";
+            EXPECT_EQ(got.kind, want.kind) << where;
+            EXPECT_EQ(t.total_ns, want.times.total_ns) << where;
+            EXPECT_EQ(t.gather_ns, want.times.gather_ns) << where;
+            EXPECT_EQ(t.inter_ns, want.times.inter_ns) << where;
+            EXPECT_EQ(t.bcast_ns, want.times.bcast_ns) << where;
+            EXPECT_EQ(got.assembled_chunks(c),
+                      static_cast<std::uint64_t>(want.kind == Kind::subgroups
+                                                     ? kNodes
+                                                     : kNodes * ppn))
+                << where;
+            ++cases;
+          }
+      }
+  }
+  EXPECT_EQ(cases, 48);
+
+  // The edge case spelled out: full sharing with the parallel allgather on
+  // one rank per node has no node-shared frontier, so it rides the private
+  // plan with the configured library algorithm.
+  const rt::Cluster one(sim::Topology::xeon_x7550_cluster(kNodes),
+                        sim::CostParams{}, 1);
+  Config cfg = par_allgather();
+  cfg.base_algo = Algo::leader_rd;
+  const AllgatherPlan plan = select_allgather_plan(one, cfg, false);
+  EXPECT_EQ(plan.kind, Kind::private_replicas);
+  EXPECT_EQ(plan.algo, Algo::leader_rd);
 }
 
 }  // namespace
