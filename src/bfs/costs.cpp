@@ -1,5 +1,6 @@
 #include "bfs/costs.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace numabfs::bfs {
@@ -65,6 +66,23 @@ UnitCosts unit_costs(const rt::Cluster& c, const Config& cfg,
   const int cores = c.topo().cores_per_socket();
   u.omp_div = static_cast<double>(spr) * mem.omp_speedup(cores);
   return u;
+}
+
+std::vector<UnitCosts> partition_costs(
+    const rt::Cluster& c, const graph::DistGraph& dg, const Config& cfg,
+    std::uint64_t in_queue_bytes, std::uint64_t in_summary_bytes,
+    const std::function<std::uint64_t(std::uint64_t)>& owned_bytes) {
+  std::vector<UnitCosts> costs(static_cast<std::size_t>(c.nranks()));
+  for (int r = 0; r < c.nranks(); ++r) {
+    const auto& lg = dg.locals[static_cast<std::size_t>(r)];
+    StructSizes sz;
+    sz.in_queue_bytes = in_queue_bytes;
+    sz.in_summary_bytes = in_summary_bytes;
+    sz.owned_bytes = owned_bytes(lg.owned());
+    sz.td_group_count = std::max<std::uint64_t>(1, lg.td_keys.size());
+    costs[static_cast<std::size_t>(r)] = unit_costs(c, cfg, sz);
+  }
+  return costs;
 }
 
 }  // namespace numabfs::bfs

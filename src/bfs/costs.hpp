@@ -6,8 +6,11 @@
 /// unit costs are the only modeled quantities.
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "bfs/config.hpp"
+#include "graph/dist_graph.hpp"
 #include "runtime/cluster.hpp"
 
 namespace numabfs::bfs {
@@ -43,6 +46,17 @@ struct StructSizes {
 
 UnitCosts unit_costs(const rt::Cluster& c, const Config& cfg,
                      const StructSizes& sz);
+
+/// Unit costs of every partition of a 1-D partitioned state, indexed by
+/// partition. The replicated structures (`in_queue_bytes`,
+/// `in_summary_bytes`) are the same everywhere; the owned footprint
+/// (`owned_bytes` of the owned vertex count) and the top-down group count
+/// differ on the tail partition, so an adopter charges an adopted
+/// partition's work at that partition's costs.
+std::vector<UnitCosts> partition_costs(
+    const rt::Cluster& c, const graph::DistGraph& dg, const Config& cfg,
+    std::uint64_t in_queue_bytes, std::uint64_t in_summary_bytes,
+    const std::function<std::uint64_t(std::uint64_t)>& owned_bytes);
 
 /// Placement of the graph (and private per-rank structures) implied by the
 /// execution policy.

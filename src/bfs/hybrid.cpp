@@ -1,11 +1,10 @@
 #include "bfs/hybrid.hpp"
 
-#include <atomic>
 #include <cstring>
 
 #include "bfs/exchange.hpp"
 #include "bfs/kernels.hpp"
-#include "faults/errors.hpp"
+#include "faults/recovery.hpp"
 #include "runtime/allgather.hpp"
 
 namespace numabfs::bfs {
@@ -88,27 +87,6 @@ std::uint64_t ckpt_words(DistState& st, int part) {
          st.pred(part).size() * sizeof(graph::Vertex) / 8;
 }
 
-void save_checkpoint(rt::Proc& p, DistState& st, const UnitCosts& u, int part,
-                     PartCheckpoint& ck) {
-  auto vw = st.visited(part).words();
-  ck.visited.assign(vw.begin(), vw.end());
-  auto pr = st.pred(part);
-  ck.pred.assign(pr.begin(), pr.end());
-  ck.unvisited_edges = st.unvisited_edges(part);
-  p.charge(sim::Phase::other, u.stream_pass_ns(ckpt_words(st, part)));
-}
-
-void restore_checkpoint(rt::Proc& p, DistState& st, const UnitCosts& u,
-                        int part, const PartCheckpoint& ck) {
-  auto vw = st.visited(part).words();
-  std::memcpy(vw.data(), ck.visited.data(), ck.visited.size() * 8);
-  auto pr = st.pred(part);
-  std::memcpy(pr.data(), ck.pred.data(), ck.pred.size() * sizeof(graph::Vertex));
-  st.unvisited_edges(part) = ck.unvisited_edges;
-  st.discovered(part).clear();
-  p.charge(sim::Phase::other, u.stream_pass_ns(ckpt_words(st, part)));
-}
-
 }  // namespace
 
 BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
@@ -116,18 +94,11 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
   const Config& cfg = st.config();
   BfsRunResult out;
 
-  // Shape-derived unit costs (identical on every rank up to owned sizes;
-  // we use rank-0 shapes for the shared structures, per-rank for owned).
-  std::vector<UnitCosts> costs(static_cast<size_t>(c.nranks()));
-  for (int r = 0; r < c.nranks(); ++r) {
-    const auto& lg = dg.locals[static_cast<size_t>(r)];
-    StructSizes sz;
-    sz.in_queue_bytes = st.padded_bits() / 8;
-    sz.in_summary_bytes = (st.summary_bits() + 7) / 8;
-    sz.owned_bytes = lg.owned() / 8 + lg.owned() * sizeof(graph::Vertex);
-    sz.td_group_count = std::max<std::uint64_t>(1, lg.td_keys.size());
-    costs[static_cast<size_t>(r)] = unit_costs(c, cfg, sz);
-  }
+  const std::vector<UnitCosts> costs = partition_costs(
+      c, dg, cfg, st.padded_bits() / 8, (st.summary_bits() + 7) / 8,
+      [](std::uint64_t owned) {
+        return owned / 8 + owned * sizeof(graph::Vertex);
+      });
 
   struct Shared {
     std::vector<int> directions;
@@ -147,20 +118,11 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
   std::vector<std::vector<RankLevel>> rank_levels(
       static_cast<size_t>(c.nranks()));
 
-  // Fault tolerance: a scheduled crash without checkpointing cannot be
-  // survived — refuse it up front with a diagnosable error (the fault plan
-  // is known before the traversal starts).
-  faults::FaultInjector* inj = c.injector();
-  if (inj != nullptr && inj->has_crashes() && !inj->checkpointing())
-    throw faults::FaultError(
-        "run_bfs: the fault plan schedules rank crashes but checkpointing is "
-        "disabled (checkpoint:off); the traversal could not be recovered");
-  const bool ckpt_on = inj != nullptr && inj->checkpointing();
+  faults::LevelRecovery recovery(c, "run_bfs", "traversal");
   // Indexed by partition; ckpt[q] is written by q's current owner only, and
   // crash detection is barrier-ordered, so adoption hand-off is race-free.
   std::vector<PartCheckpoint> ckpt(
-      ckpt_on ? static_cast<size_t>(c.nranks()) : 0);
-  std::atomic<int> recoveries{0};
+      recovery.checkpointing() ? static_cast<size_t>(c.nranks()) : 0);
 
   c.run([&](rt::Proc& p) {
     const UnitCosts& u = costs[static_cast<size_t>(p.rank)];
@@ -168,9 +130,28 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
     const auto& lg = dg.locals[static_cast<size_t>(p.rank)];
 
     OneDExchange exchanger(dg, st, u);
-    // The partitions this rank executes: its own, plus any adopted from
-    // crashed ranks. Recomputed whenever a death is detected.
-    std::vector<int> parts{p.rank};
+    faults::LevelRecovery::Rank rec(recovery, p);
+    const auto save = [&](int q) {
+      PartCheckpoint& ck = ckpt[static_cast<size_t>(q)];
+      auto vw = st.visited(q).words();
+      ck.visited.assign(vw.begin(), vw.end());
+      auto pr = st.pred(q);
+      ck.pred.assign(pr.begin(), pr.end());
+      ck.unvisited_edges = st.unvisited_edges(q);
+      p.charge(sim::Phase::other,
+               costs[static_cast<size_t>(q)].stream_pass_ns(ckpt_words(st, q)));
+    };
+    const auto restore = [&](int q) {
+      const PartCheckpoint& ck = ckpt[static_cast<size_t>(q)];
+      std::memcpy(st.visited(q).words().data(), ck.visited.data(),
+                  ck.visited.size() * 8);
+      std::memcpy(st.pred(q).data(), ck.pred.data(),
+                  ck.pred.size() * sizeof(graph::Vertex));
+      st.unvisited_edges(q) = ck.unvisited_edges;
+      st.discovered(q).clear();
+      p.charge(sim::Phase::other,
+               costs[static_cast<size_t>(q)].stream_pass_ns(ckpt_words(st, q)));
+    };
 
     reset_state(p, dg, st, root, u);
 
@@ -193,22 +174,9 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
 
     std::uint64_t prev_nf = 1;  // the root seeds level 0's frontier
     int level = 0;
-    int handled_dead = 0;
     for (;;) {
       const double level_t0 = p.clock.now_ns();
-      // Level boundary: checkpoint every owned partition, *then* die if
-      // this rank's crash is scheduled here — the fail-stop model is "the
-      // boundary checkpoint completed, the crash hit afterwards", so the
-      // adopter always finds start-of-level state.
-      if (ckpt_on)
-        for (int q : parts)
-          save_checkpoint(p, st, costs[static_cast<size_t>(q)], q,
-                          ckpt[static_cast<size_t>(q)]);
-      if (inj != nullptr && inj->crash_level(p.rank) == level) {
-        inj->mark_dead(p.rank);
-        c.retire_rank(p);  // survivors' barriers stop expecting us
-        return;
-      }
+      if (rec.crash_point(level, save)) return;
 
       const auto& cnt0 = p.prof.counters();
       const std::uint64_t edges0 = cnt0.edges_scanned;
@@ -223,7 +191,7 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
       LevelResult lr;
       std::uint64_t my_rem = 0;
       const double kernel_t0 = p.clock.now_ns();
-      for (int q : parts) {
+      for (int q : rec.parts()) {
         const auto& qlg = dg.locals[static_cast<size_t>(q)];
         const UnitCosts& qu = costs[static_cast<size_t>(q)];
         const LevelResult qr = dir == 0 ? top_down_level(p, qlg, qu, st, q)
@@ -244,32 +212,20 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
       const std::uint64_t rem =
           rt::allreduce_sum(p, world, my_rem, sim::Phase::stall);
 
-      // Crash detection point. A rank dies at the start of a level, before
-      // contributing to this level's kernels or reductions; the barriers
-      // above give every survivor a consistent view of the death. Recover
-      // by adopting the dead partitions, rolling every owned partition
-      // back to the boundary checkpoint, and re-running the level.
-      if (inj != nullptr && inj->dead_count() > handled_dead) {
-        handled_dead = inj->dead_count();
-        const size_t owned_before = parts.size();
-        parts = inj->parts_of(p.rank);
-        if (parts.size() > owned_before)
-          p.prof.counters().adoptions += parts.size() - owned_before;
-        const double rb_t0 = p.clock.now_ns();
-        for (int q : parts)
-          restore_checkpoint(p, st, costs[static_cast<size_t>(q)], q,
-                             ckpt[static_cast<size_t>(q)]);
-        if (p.rank == inj->lowest_live())
-          recoveries.fetch_add(1, std::memory_order_relaxed);
-        p.barrier(world, sim::Phase::stall);  // rollback complete everywhere
+      // Crash detection point: a rank dies at the start of a level, before
+      // contributing to its kernels or reductions, whose barriers give
+      // every survivor a consistent view of the death.
+      const double rb_t0 = p.clock.now_ns();
+      if (rec.recovered(restore)) {
         p.trace_span(obs::kCatBfs, "recovery.rollback", rb_t0,
                      p.clock.now_ns(),
                      obs::kv("level", level) + "," +
-                         obs::kv("parts", static_cast<int>(parts.size())));
+                         obs::kv("parts",
+                                 static_cast<int>(rec.parts().size())));
         continue;  // re-run the level (level/dir/prev_nf unchanged)
       }
 
-      const int recorder = inj != nullptr ? inj->lowest_live() : 0;
+      const int recorder = rec.recorder();
       if (p.rank == recorder) {
         shared.directions.push_back(dir);
         shared.visited += nf;
@@ -320,7 +276,8 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
       // The bitmap allgathers belong to the bottom-up procedure (Fig. 1);
       // the sparse list exchange is the top-down queue handoff. Both sit
       // behind the unified FrontierExchange interface (DESIGN.md §13).
-      const ExchangeLevelStats ex = exchanger.exchange(p, dir, next, parts);
+      const ExchangeLevelStats ex =
+          exchanger.exchange(p, dir, next, rec.parts());
       p.trace_instant(obs::kCatBfs, "codec.gate",
                       obs::kv("level", level) + "," +
                           obs::kv("kind", graph::codec::to_string(ex.codec)) +
@@ -343,29 +300,14 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
   });
 
   // Aggregate.
-  const auto& profiles = c.profiles();
-  double max_total = 0;
-  for (const auto& pr : profiles) max_total = std::max(max_total, pr.total_ns());
-  out.time_ns = max_total;
+  const sim::RunProfile prof = sim::aggregate(c.profiles());
+  out.time_ns = prof.max_total_ns;
   out.visited = shared.visited;
   out.directions = shared.directions;
-  out.levels = static_cast<int>(shared.directions.size());
-  for (int d : shared.directions) (d == 0 ? out.td_levels : out.bu_levels)++;
+  out.tally(shared.directions, recovery, prof);
   out.td_exchanges = shared.td_ex;
   out.bu_exchanges = shared.bu_ex;
-  out.recoveries = recoveries.load(std::memory_order_relaxed);
-  out.ranks_lost = inj != nullptr ? inj->dead_count() : 0;
-
-  sim::PhaseProfile sum;
-  sim::PhaseProfile mx;
-  for (const auto& pr : profiles) {
-    sum += pr;
-    mx.max_with(pr);
-  }
-  out.profile_avg = sum.scaled(1.0 / static_cast<double>(profiles.size()));
-  // scaled() multiplies times only; counters in profile_avg stay summed.
-  out.profile_avg.counters() = sum.counters();
-  out.profile_max = mx;
+  out.profile_max = prof.max;
 
   std::uint64_t traversed = 0;
   for (int r = 0; r < c.nranks(); ++r)

@@ -10,6 +10,7 @@
 
 #include "bfs/config.hpp"
 #include "bfs/state.hpp"
+#include "faults/recovery.hpp"
 #include "graph/dist_graph.hpp"
 #include "numasim/phase_profile.hpp"
 #include "runtime/cluster.hpp"
@@ -58,20 +59,14 @@ struct LevelTrace {
 };
 
 /// Result of one BFS (one root) on one variant.
-struct BfsRunResult {
+struct BfsRunResult : faults::LevelLoopResult {
   double time_ns = 0;            ///< virtual wall time (max over ranks)
   std::uint64_t visited = 0;     ///< vertices in the tree (incl. root)
   std::uint64_t traversed_directed_edges = 0;  ///< adjacency entries covered
-  int levels = 0;
-  int td_levels = 0;
-  int bu_levels = 0;
   int bu_exchanges = 0;  ///< bottom-up communication phases performed
   int td_exchanges = 0;
-  int recoveries = 0;  ///< level re-runs after detecting crashed ranks
-  int ranks_lost = 0;  ///< ranks dead by the end of the traversal
   std::vector<int> directions;  ///< 0 = top-down, 1 = bottom-up, per level
 
-  sim::PhaseProfile profile_avg;  ///< mean over ranks
   sim::PhaseProfile profile_max;  ///< per-phase max over ranks
   std::vector<LevelTrace> trace;  ///< one entry per level
 

@@ -1,15 +1,13 @@
 #include "bfs2d/bfs2d.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "bfs2d/exchange2d.hpp"
-#include "faults/errors.hpp"
-#include "faults/injector.hpp"
+#include "faults/recovery.hpp"
 #include "graph/bitmap.hpp"
 #include "obs/trace.hpp"
 #include "runtime/allgather.hpp"
@@ -240,37 +238,6 @@ std::uint64_t ckpt_words(const Grid2d& g) {
          g.piece_bits() * sizeof(graph::Vertex) / 8;
 }
 
-void save_checkpoint(rt::Proc& p, const Grid2d& g, State2d& st,
-                     const bfs::UnitCosts& u, int q, Ckpt2d& ck) {
-  const auto s = static_cast<std::size_t>(q);
-  auto vw = st.visited[s].view().words();
-  ck.visited.assign(vw.begin(), vw.end());
-  auto fw = st.frontier[s].view().words();
-  ck.frontier.assign(fw.begin(), fw.end());
-  auto rw = st.row_visited[s].view().words();
-  ck.row_visited.assign(rw.begin(), rw.end());
-  ck.pred = st.pred[s];
-  ck.unvisited_edges = st.unvisited_edges[s];
-  p.charge(sim::Phase::other, u.stream_pass_ns(ckpt_words(g)));
-}
-
-void restore_checkpoint(rt::Proc& p, const Grid2d& g, State2d& st,
-                        const bfs::UnitCosts& u, int q, const Ckpt2d& ck) {
-  const auto s = static_cast<std::size_t>(q);
-  std::memcpy(st.visited[s].view().words().data(), ck.visited.data(),
-              ck.visited.size() * 8);
-  std::memcpy(st.frontier[s].view().words().data(), ck.frontier.data(),
-              ck.frontier.size() * 8);
-  std::memcpy(st.row_visited[s].view().words().data(), ck.row_visited.data(),
-              ck.row_visited.size() * 8);
-  st.pred[s] = ck.pred;
-  st.unvisited_edges[s] = ck.unvisited_edges;
-  st.next[s].view().reset();
-  for (auto& box : st.out_children[s]) box.clear();
-  for (auto& box : st.out_parents[s]) box.clear();
-  p.charge(sim::Phase::other, u.stream_pass_ns(ckpt_words(g)));
-}
-
 }  // namespace
 
 std::string Bfs2dOptions::validate() const {
@@ -335,20 +302,44 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
   } shared;
   std::vector<std::vector<LegBytes>> rank_levels(static_cast<std::size_t>(np));
 
-  faults::FaultInjector* inj = c.injector();
-  if (inj != nullptr && inj->has_crashes() && !inj->checkpointing())
-    throw faults::FaultError(
-        "run_bfs_2d: the fault plan schedules rank crashes but checkpointing "
-        "is disabled (checkpoint:off); the traversal could not be recovered");
-  const bool ckpt_on = inj != nullptr && inj->checkpointing();
-  std::vector<Ckpt2d> ckpt(ckpt_on ? static_cast<std::size_t>(np) : 0);
-  std::atomic<int> recoveries{0};
+  faults::LevelRecovery recovery(c, "run_bfs_2d", "traversal");
+  std::vector<Ckpt2d> ckpt(
+      recovery.checkpointing() ? static_cast<std::size_t>(np) : 0);
 
   c.run([&](rt::Proc& p) {
     const bfs::UnitCosts& u = costs[static_cast<std::size_t>(p.rank)];
     rt::Comm& world = c.world();
     TwoDExchange ex(dg, st, costs, opt);
-    std::vector<int> parts{p.rank};
+    faults::LevelRecovery::Rank rec(recovery, p);
+    const auto save = [&](int q) {
+      const auto s = static_cast<std::size_t>(q);
+      Ckpt2d& ck = ckpt[s];
+      auto vw = st.visited[s].view().words();
+      ck.visited.assign(vw.begin(), vw.end());
+      auto fw = st.frontier[s].view().words();
+      ck.frontier.assign(fw.begin(), fw.end());
+      auto rw = st.row_visited[s].view().words();
+      ck.row_visited.assign(rw.begin(), rw.end());
+      ck.pred = st.pred[s];
+      ck.unvisited_edges = st.unvisited_edges[s];
+      p.charge(sim::Phase::other, costs[s].stream_pass_ns(ckpt_words(g)));
+    };
+    const auto restore = [&](int q) {
+      const auto s = static_cast<std::size_t>(q);
+      const Ckpt2d& ck = ckpt[s];
+      std::memcpy(st.visited[s].view().words().data(), ck.visited.data(),
+                  ck.visited.size() * 8);
+      std::memcpy(st.frontier[s].view().words().data(), ck.frontier.data(),
+                  ck.frontier.size() * 8);
+      std::memcpy(st.row_visited[s].view().words().data(),
+                  ck.row_visited.data(), ck.row_visited.size() * 8);
+      st.pred[s] = ck.pred;
+      st.unvisited_edges[s] = ck.unvisited_edges;
+      st.next[s].view().reset();
+      for (auto& box : st.out_children[s]) box.clear();
+      for (auto& box : st.out_parents[s]) box.clear();
+      p.charge(sim::Phase::other, costs[s].stream_pass_ns(ckpt_words(g)));
+    };
 
     // --- per-root reset (Phase::other, like the 1-D) --------------------
     {
@@ -399,31 +390,20 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
     double my_expand_sum = 0, my_fold_sum = 0;
     // Bootstrap: build level 0's col-band inputs from the root frontier.
     ex.reset_legs();
-    ex.build_inputs(p, dir, parts);
+    ex.build_inputs(p, dir, rec.parts());
     my_expand_sum += ex.last_expand_ns();
     LegBytes in_legs = ex.legs();
 
     std::uint64_t prev_nf = 1;
     int level = 0;
-    int handled_dead = 0;
     for (;;) {
       const double level_t0 = p.clock.now_ns();
-      // Level boundary: checkpoint, then die if scheduled (the fail-stop
-      // model is "the boundary checkpoint completed, the crash hit after").
-      if (ckpt_on)
-        for (int q : parts)
-          save_checkpoint(p, g, st, costs[static_cast<std::size_t>(q)], q,
-                          ckpt[static_cast<std::size_t>(q)]);
-      if (inj != nullptr && inj->crash_level(p.rank) == level) {
-        inj->mark_dead(p.rank);
-        c.retire_rank(p);
-        return;
-      }
+      if (rec.crash_point(level, save)) return;
       LegBytes cur_legs = in_legs;
 
       // --- local scan -------------------------------------------------
       const double kernel_t0 = p.clock.now_ns();
-      for (int q : parts) {
+      for (int q : rec.parts()) {
         const bfs::UnitCosts& qu = costs[static_cast<std::size_t>(q)];
         if (dir == 0)
           scan_td(p, dg, st, qu, q);
@@ -435,14 +415,14 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
 
       // --- fold: claims travel the rows to their owners ---------------
       ex.reset_legs();
-      const FoldStats fr = ex.fold(p, dir, parts);
+      const FoldStats fr = ex.fold(p, dir, rec.parts());
       my_fold_sum += ex.last_fold_ns();
       cur_legs.fold_wire += ex.legs().fold_wire;
       cur_legs.fold_raw += ex.legs().fold_raw;
       cur_legs.fold_coded = ex.legs().fold_coded;
 
       std::uint64_t my_rem = 0;
-      for (int q : parts)
+      for (int q : rec.parts())
         my_rem += st.unvisited_edges[static_cast<std::size_t>(q)];
       const std::uint64_t nf =
           rt::allreduce_sum(p, world, fr.discovered, sim::Phase::stall);
@@ -451,33 +431,23 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
       const std::uint64_t rem =
           rt::allreduce_sum(p, world, my_rem, sim::Phase::stall);
 
-      // Crash detection point: adopt the dead rank's partitions, roll back
-      // to the boundary checkpoint, rebuild the col-band inputs, re-run.
-      if (inj != nullptr && inj->dead_count() > handled_dead) {
-        handled_dead = inj->dead_count();
-        const std::size_t owned_before = parts.size();
-        parts = inj->parts_of(p.rank);
-        if (parts.size() > owned_before)
-          p.prof.counters().adoptions += parts.size() - owned_before;
-        const double rb_t0 = p.clock.now_ns();
-        for (int q : parts)
-          restore_checkpoint(p, g, st, costs[static_cast<std::size_t>(q)], q,
-                             ckpt[static_cast<std::size_t>(q)]);
-        if (p.rank == inj->lowest_live())
-          recoveries.fetch_add(1, std::memory_order_relaxed);
-        p.barrier(world, sim::Phase::stall);  // rollback complete everywhere
+      // Crash detection point: after the rollback, rebuild the col-band
+      // inputs from the restored frontier pieces and re-run the level.
+      const double rb_t0 = p.clock.now_ns();
+      if (rec.recovered(restore)) {
         ex.reset_legs();
-        ex.build_inputs(p, dir, parts);
+        ex.build_inputs(p, dir, rec.parts());
         my_expand_sum += ex.last_expand_ns();
         in_legs = ex.legs();
         p.trace_span(obs::kCatBfs, "recovery.rollback", rb_t0,
                      p.clock.now_ns(),
                      obs::kv("level", level) + "," +
-                         obs::kv("parts", static_cast<int>(parts.size())));
+                         obs::kv("parts",
+                                 static_cast<int>(rec.parts().size())));
         continue;  // re-run the level (level/dir/prev_nf unchanged)
       }
 
-      const int recorder = inj != nullptr ? inj->lowest_live() : 0;
+      const int recorder = rec.recorder();
       if (p.rank == recorder) {
         shared.directions.push_back(dir);
         shared.visited += nf;
@@ -511,7 +481,8 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
       }
 
       ex.reset_legs();
-      const bfs::ExchangeLevelStats exs = ex.exchange(p, dir, next, parts);
+      const bfs::ExchangeLevelStats exs =
+          ex.exchange(p, dir, next, rec.parts());
       my_expand_sum += ex.last_expand_ns();
       p.trace_instant(obs::kCatBfs, "codec.gate",
                       obs::kv("level", level) + "," +
@@ -539,7 +510,7 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
     }
 
     p.barrier(world, sim::Phase::stall);
-    if (p.rank == (inj != nullptr ? inj->lowest_live() : 0)) {
+    if (p.rank == rec.recorder()) {
       shared.expand_ns_sum = my_expand_sum;
       shared.fold_ns_sum = my_fold_sum;
     }
@@ -547,27 +518,12 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
 
   // --- aggregate (host side) -------------------------------------------
   Bfs2dResult out;
-  const auto& profiles = c.profiles();
-  double max_total = 0;
-  for (const auto& pr : profiles)
-    max_total = std::max(max_total, pr.total_ns());
-  out.time_ns = max_total;
+  const sim::RunProfile prof = sim::aggregate(c.profiles());
+  out.time_ns = prof.max_total_ns;
   out.visited = shared.visited;
   out.directions = shared.directions;
-  out.levels = static_cast<int>(shared.directions.size());
-  for (int d : shared.directions) (d == 0 ? out.td_levels : out.bu_levels)++;
-  out.recoveries = recoveries.load(std::memory_order_relaxed);
-  out.ranks_lost = inj != nullptr ? inj->dead_count() : 0;
-
-  sim::PhaseProfile sum;
-  sim::PhaseProfile mx;
-  for (const auto& pr : profiles) {
-    sum += pr;
-    mx.max_with(pr);
-  }
-  out.profile_avg = sum.scaled(1.0 / static_cast<double>(profiles.size()));
-  out.profile_avg.counters() = sum.counters();
-  out.profile_max = mx;
+  out.tally(shared.directions, recovery, prof);
+  out.profile_max = prof.max;
 
   std::uint64_t traversed = 0;
   for (int r = 0; r < np; ++r)

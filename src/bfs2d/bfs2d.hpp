@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "bfs/config.hpp"
+#include "faults/recovery.hpp"
 #include "graph/csr.hpp"
 #include "graph/types.hpp"
 #include "numasim/phase_profile.hpp"
@@ -168,17 +169,11 @@ struct Level2dTrace {
   }
 };
 
-struct Bfs2dResult {
+struct Bfs2dResult : faults::LevelLoopResult {
   double time_ns = 0;
   std::uint64_t visited = 0;
-  int levels = 0;
-  int td_levels = 0;
-  int bu_levels = 0;
   std::vector<int> directions;
   std::uint64_t traversed_directed_edges = 0;
-  int recoveries = 0;  ///< checkpoint rollbacks performed
-  int ranks_lost = 0;  ///< ranks dead at the end
-  sim::PhaseProfile profile_avg;  ///< times averaged, counters summed
   sim::PhaseProfile profile_max;
   std::vector<Level2dTrace> trace;
   /// mean time of one expand (column allgather) / fold (row exchange)

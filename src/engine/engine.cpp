@@ -307,14 +307,9 @@ EngineReport QueryEngine::serve(std::span<const Query> queries) {
       // In-wave rank clocks restart at 0; land their events at wave start.
       tr->set_base_ns(now);
     }
-    WaveResult wr;
-    if (ec_.graph_source) {
-      WaveOptions wo;
-      wo.epoch = pg.epoch;
-      wr = run_wave(cluster_, wdg, ws_, wave, wo);
-    } else {
-      wr = run_wave(cluster_, wdg, ws_, wave);
-    }
+    WaveOptions wo;
+    wo.epoch = pg.epoch;
+    const WaveResult wr = run_wave(cluster_, wdg, ws_, wave, wo);
     if (tr != nullptr) {
       tr->set_base_ns(0);
       tr->span(tr->host_track(), obs::kCatEngine,

@@ -7,12 +7,13 @@
 /// frontier, how one level advances it (push over top-down groups or pull
 /// over owned adjacency), how the shared control scalars evolve from the
 /// level's reduced statistics, and when the computation has converged. The
-/// engine supplies everything else — the state layout, the per-level
-/// exchange (riding the same collective plans, codec gate and degraded-link
-/// model as the MS-BFS wave through exchange_core.hpp), checkpointing,
-/// crash detection with partition adoption and level rollback, abort
-/// horizons with cross-replica checkpoint export/resume for failover, the
-/// observability spans and the cost-model direction choice.
+/// engine supplies everything else — the state layout and, through the
+/// level driver it shares with the MS-BFS wave (level_driver.hpp), the
+/// per-level exchange (same collective plans, codec gate and degraded-link
+/// model), checkpointing, crash detection with partition adoption and
+/// level rollback, abort horizons with cross-replica checkpoint
+/// export/resume for failover, the observability spans and the cost-model
+/// direction choice.
 ///
 /// Ownership contract (who touches what):
 ///  - program state is split into a *replicated read side* (frontier bit
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "bfs/config.hpp"
+#include "engine/level_driver.hpp"
 #include "graph/dist_graph.hpp"
 #include "graph/summary.hpp"
 #include "numasim/phase_profile.hpp"
@@ -82,57 +84,38 @@ struct ProgStats {
 /// partition-owned out side. Frontier bits live in per-partition
 /// word-aligned slabs of `words_per_block()` words, so the exchange lands a
 /// partition's chunk with one memcpy regardless of the block size; the bit
-/// of global vertex v sits at bit_pos(owner, v - owner*block).
-class ProgramState {
+/// of global vertex v sits at owner * stride() + (v - owner * block()).
+class ProgramState : public FrontierSlabs {
  public:
   ProgramState(const graph::DistGraph& dg, const bfs::Config& cfg, int nodes,
                int ppn, bool with_values);
 
-  const bfs::Config& config() const { return cfg_; }
-  bool shared_frontier() const { return shared_; }
   bool with_values() const { return with_values_; }
-  std::uint64_t block() const { return block_; }
-  std::uint64_t words_per_block() const { return wpb_; }
-  std::uint64_t padded_words() const { return wpb_ * static_cast<std::uint64_t>(np_); }
-  std::uint64_t padded_values() const { return block_ * static_cast<std::uint64_t>(np_); }
-  std::uint64_t summary_bits() const {
-    return graph::SummaryView::summary_bits_for(padded_words() * 64,
-                                                cfg_.summary_granularity);
+  std::uint64_t words_per_block() const { return slab_words(); }
+  std::uint64_t padded_words() const {
+    return slab_words() * static_cast<std::uint64_t>(np_);
+  }
+  std::uint64_t padded_values() const {
+    return block() * static_cast<std::uint64_t>(np_);
   }
 
-  std::uint64_t bit_pos(int part, std::uint64_t local_v) const {
-    return static_cast<std::uint64_t>(part) * wpb_ * 64 + local_v;
-  }
   /// Read vertex u's frontier bit from a replica's words.
   static bool test(std::span<const std::uint64_t> f, std::uint64_t pos) {
     return (f[pos >> 6] >> (pos & 63)) & 1;
   }
 
-  // Replicated read side (indexed by rank; node-shared replicas alias).
-  std::span<std::uint64_t> frontier(int rank);
-  graph::SummaryView frontier_summary(int rank);
+  /// Replicated values (indexed by rank; node-shared replicas alias).
   std::span<Value> values(int rank);
-
-  // Partition-owned write side.
-  std::span<std::uint64_t> out_bits(int part);
-  graph::SummaryView out_summary(int part);
+  /// Partition-owned out bits (the out slab) and values.
+  std::span<std::uint64_t> out_bits(int part) { return out(part); }
   std::span<Value> val_out(int part);
 
  private:
-  bfs::Config cfg_;
   int np_ = 1;
-  int ppn_ = 1;
-  bool shared_ = false;
   bool with_values_ = true;
-  std::uint64_t block_ = 0;
-  std::uint64_t wpb_ = 0;  // frontier words per partition slab
 
-  std::vector<std::vector<std::uint64_t>> frontier_;  // per replica
-  std::vector<graph::Summary> fsummary_;              // per replica
-  std::vector<std::vector<Value>> values_;            // per replica
-  std::vector<std::vector<std::uint64_t>> out_bits_;  // per partition
-  std::vector<graph::Summary> out_summary_;           // per partition
-  std::vector<std::vector<Value>> val_out_;           // per partition
+  std::vector<std::vector<Value>> values_;   // per replica
+  std::vector<std::vector<Value>> val_out_;  // per partition
 };
 
 /// The query a program instance answers. Global workloads (PageRank as a
@@ -167,7 +150,6 @@ struct PartCtx {
   std::span<std::uint64_t> out_bits;        ///< partition out bits (write)
   graph::SummaryView out_summary;           ///< partition out summary (write)
   std::span<Value> val_out;                 ///< partition values (read/write)
-  const ProgramState* ps;                   ///< bit_pos / test helpers
 };
 
 class FrontierProgram {
@@ -215,17 +197,13 @@ class FrontierProgram {
 
 /// Cross-replica program checkpoint for failover resume, the analog of
 /// WaveCheckpoint: partition owners persist val_out, the recorder persists
-/// one frontier replica (bits + values) and the control position.
-struct ProgramCheckpoint {
-  bool valid = false;
+/// one frontier replica (bits + values), the scalars, and the level
+/// driver's position.
+struct ProgramCheckpoint : LevelPosition {
   std::vector<std::vector<Value>> val_out;     ///< per partition
   std::vector<std::uint64_t> frontier;         ///< one replica, padded words
   std::vector<Value> values;                   ///< one replica, padded values
   std::vector<std::uint64_t> scalars;
-  int level = 1;
-  int dir = 0;
-  bool use_summary = false;
-  std::uint64_t epoch = 0;
 };
 
 struct ProgramOptions {
@@ -240,17 +218,11 @@ struct ProgramOptions {
   int max_levels = 1 << 20;
 };
 
-struct ProgramResult {
+struct ProgramResult : faults::LevelLoopResult {
   double total_ns = 0;
-  sim::PhaseProfile profile_avg;
-  int levels = 0;     ///< advance levels executed
-  int td_levels = 0;  ///< push levels
-  int bu_levels = 0;  ///< pull levels
   bool converged = false;
   double value = 0;   ///< the program's scalar answer for the query
   ProgStats last;     ///< reduced stats of the converging level
-  int recoveries = 0;
-  int ranks_lost = 0;
   bool aborted = false;
   double abort_ns = 0;
   std::uint64_t epoch = 0;

@@ -33,11 +33,13 @@
 /// exchange as the lane words: kernels mark per-partition out summaries,
 /// the exchange merges them into the replicated frontier summaries.
 ///
-/// Fault tolerance mirrors bfs::run_bfs: with a fault injector attached,
-/// `seen` words are checkpointed at level boundaries (distances/parents
-/// need no checkpoint — a level re-run rewrites them with identical
-/// values), a crash is survived by partition adoption + level re-run, and
-/// degraded links stretch the modeled exchange time.
+/// The level loop, exchange and fault protocol are the engine's level
+/// driver (level_driver.hpp), shared with the frontier programs. With a
+/// fault injector attached, `seen` words are checkpointed at level
+/// boundaries (distances/parents need no checkpoint — a level re-run
+/// rewrites them with identical values), a crash is survived by partition
+/// adoption + level re-run, and degraded links stretch the modeled
+/// exchange time.
 
 #include <cstdint>
 #include <limits>
@@ -46,6 +48,7 @@
 
 #include "bfs/config.hpp"
 #include "bfs/costs.hpp"
+#include "engine/level_driver.hpp"
 #include "numasim/phase_profile.hpp"
 #include "graph/dist_graph.hpp"
 #include "graph/summary.hpp"
@@ -96,16 +99,10 @@ struct LaneResult {
 };
 
 /// Result of one batched wave.
-struct WaveResult {
+struct WaveResult : faults::LevelLoopResult {
   /// Graph epoch the wave served (WaveOptions::epoch; 0 for static graphs).
   std::uint64_t epoch = 0;
   double wave_ns = 0;  ///< virtual wall time of the wave (max over ranks)
-  sim::PhaseProfile profile_avg;  ///< mean over ranks (counters summed)
-  int levels = 0;
-  int td_levels = 0;     ///< levels run with the sparse (top-down) kernel
-  int bu_levels = 0;     ///< levels run with the dense (bottom-up) kernel
-  int recoveries = 0;    ///< level re-runs after rank crashes
-  int ranks_lost = 0;
   bool aborted = false;  ///< hit WaveOptions::abort_at_ns before draining
   double abort_ns = 0;   ///< virtual time the abort was observed
   std::uint64_t unfinished = 0;  ///< lanes still active at the abort
@@ -116,16 +113,9 @@ struct WaveResult {
 /// same DistGraph needs to resume the surviving lanes — the failover unit
 /// of the replicated serving tier. Exported at level boundaries (an "epoch")
 /// strictly before any scheduled death of that level, so a valid checkpoint
-/// always describes a consistent pre-crash state.
-struct WaveCheckpoint {
-  bool valid = false;
-  /// Graph epoch the exporting wave was pinned to. A failover resume must
-  /// run against the same pinned snapshot — lane state (seen words,
-  /// distances) is only meaningful relative to that adjacency.
-  std::uint64_t epoch = 0;
-  int level = 0;             ///< level the next kernel would run
-  int dir = 0;               ///< kernel chosen for that level (0 sparse)
-  bool use_summary = false;  ///< dense kernel's summary decision
+/// always describes a consistent pre-crash state. The position (validity,
+/// graph epoch, level, kernel choice) is the level driver's.
+struct WaveCheckpoint : LevelPosition {
   std::uint64_t active = 0;  ///< lanes alive at the epoch
   std::vector<std::vector<std::uint64_t>> seen;     ///< per partition
   std::vector<std::vector<Dist>> dist;              ///< per partition
@@ -134,8 +124,8 @@ struct WaveCheckpoint {
   std::vector<std::uint64_t> frontier;  ///< one replicated-frontier copy
 };
 
-/// Knobs of the fault-tolerant wave entry point. Defaults reproduce the
-/// plain run_wave bit-for-bit (no horizon, no export, fresh start).
+/// Knobs of run_wave. The defaults run a plain wave: no horizon, no
+/// export, fresh start.
 struct WaveOptions {
   /// Graph epoch the wave serves (dynamic graph layer): stamped into the
   /// WaveResult and every exported checkpoint. Purely a label at this
@@ -163,8 +153,10 @@ struct WaveOptions {
 
 /// Reusable state of the wave kernel for one (graph, config, shape). Owns
 /// the per-partition lane words/distances/parents and the replicated
-/// frontier copies; allocate once, run many waves.
-class WaveState {
+/// frontier copies; allocate once, run many waves. The frontier holds one
+/// lane word per vertex of the padded vertex space, and the out slab of
+/// partition `part` (`out(part)`) its block's next-frontier lane words.
+class WaveState : public FrontierSlabs {
  public:
   /// `track_parents` = false skips the per-lane parent array (the largest
   /// structure: 64 lanes x 4 bytes per owned vertex) when only distances
@@ -172,45 +164,12 @@ class WaveState {
   WaveState(const graph::DistGraph& dg, const bfs::Config& cfg, int nodes,
             int ppn, bool track_parents = true);
 
-  const bfs::Config& config() const { return cfg_; }
-  bool shared_frontier() const { return shared_; }
   bool track_parents() const { return track_parents_; }
   std::uint64_t padded_vertices() const { return padded_vertices_; }
-  int nodes() const { return nodes_; }
-  int ppn() const { return ppn_; }
-  int node_of(int rank) const { return rank / ppn_; }
-
-  /// Replicated frontier lane words (padded vertex space) seen by `rank`.
-  std::span<std::uint64_t> frontier(int rank) {
-    auto& v = shared_ ? node_frontier_[static_cast<std::size_t>(node_of(rank))]
-                      : rank_frontier_[static_cast<std::size_t>(rank)];
-    return {v.data(), v.size()};
-  }
-  /// Summary over `frontier(rank)`: bit g covers `summary_granularity`
-  /// vertices; zero proves every covered lane word is zero.
-  graph::SummaryView frontier_summary(int rank) {
-    auto& s = shared_
-                  ? node_fsummary_[static_cast<std::size_t>(node_of(rank))]
-                  : rank_fsummary_[static_cast<std::size_t>(rank)];
-    return s.view();
-  }
-  /// Summary over partition `part`'s out block (local positions).
-  graph::SummaryView out_summary(int part) {
-    return out_summary_[static_cast<std::size_t>(part)].view();
-  }
-  std::uint64_t summary_bits() const {
-    return graph::SummaryView::summary_bits_for(padded_vertices_,
-                                                cfg_.summary_granularity);
-  }
 
   // --- owned-partition structures (local index space) -------------------
   std::span<std::uint64_t> seen(int part) {
     auto& v = seen_[static_cast<std::size_t>(part)];
-    return {v.data(), v.size()};
-  }
-  /// Next-frontier lane words of partition `part`'s block (block-sized).
-  std::span<std::uint64_t> out(int part) {
-    auto& v = out_[static_cast<std::size_t>(part)];
     return {v.data(), v.size()};
   }
   /// dist[local_v * 64 + lane].
@@ -225,20 +184,10 @@ class WaveState {
   }
 
  private:
-  bfs::Config cfg_;
-  int nodes_;
-  int ppn_;
-  bool shared_;
   bool track_parents_;
   std::uint64_t padded_vertices_;
 
-  std::vector<std::vector<std::uint64_t>> rank_frontier_;
-  std::vector<std::vector<std::uint64_t>> node_frontier_;
-  std::vector<graph::Summary> rank_fsummary_;
-  std::vector<graph::Summary> node_fsummary_;
-  std::vector<graph::Summary> out_summary_;
   std::vector<std::vector<std::uint64_t>> seen_;
-  std::vector<std::vector<std::uint64_t>> out_;
   std::vector<std::vector<Dist>> dist_;
   std::vector<std::vector<graph::Vertex>> parent_;
 };
@@ -247,17 +196,13 @@ class WaveState {
 /// (dg, cfg) and the cluster's shape; it is reset internally, so it can be
 /// reused across waves. Throws std::invalid_argument on an oversized or
 /// empty batch, and faults::FaultError if the attached fault plan schedules
-/// crashes with checkpointing disabled.
-WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
-                    std::span<const WaveQuery> queries);
-
-/// Fault-tolerant entry point: same as above plus an abort horizon, epoch
-/// checkpoint export and checkpoint resume (see WaveOptions). `queries`
-/// must be the *original* batch even when resuming — lane indices key the
-/// checkpoint and the per-lane results.
+/// crashes with checkpointing disabled. `opts` adds an abort horizon, epoch
+/// checkpoint export and checkpoint resume; its defaults run a plain wave.
+/// `queries` must be the *original* batch even when resuming — lane
+/// indices key the checkpoint and the per-lane results.
 WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
                     std::span<const WaveQuery> queries,
-                    const WaveOptions& opts);
+                    const WaveOptions& opts = {});
 
 /// Assemble lane `lane`'s global distance array (kUnreached where the lane
 /// never discovered the vertex).

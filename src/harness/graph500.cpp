@@ -122,8 +122,7 @@ EvalResult Experiment::run(const bfs::Config& cfg, int num_roots) {
   res.harmonic_teps = harmonic_mean(teps);
   res.mean_time_ns = time_sum / nr;
   res.visited_mean = visited_sum / static_cast<std::uint64_t>(nr);
-  res.profile = prof_sum.scaled(1.0 / nr);
-  res.profile.counters() = prof_sum.counters();
+  res.profile = prof_sum.scaled(1.0 / nr);  // counters stay summed
   res.avg_bu_comm_phase_ns =
       bu_phase_runs > 0 ? bu_phase_sum / bu_phase_runs : 0.0;
   const double tot = res.profile.total_ns();

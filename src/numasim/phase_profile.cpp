@@ -69,6 +69,19 @@ PhaseProfile PhaseProfile::scaled(double f) const {
   return r;
 }
 
+RunProfile aggregate(std::span<const PhaseProfile> profiles) {
+  RunProfile r;
+  PhaseProfile sum;
+  for (const PhaseProfile& pr : profiles) {
+    r.max_total_ns = std::max(r.max_total_ns, pr.total_ns());
+    sum += pr;
+    r.max.max_with(pr);
+  }
+  // scaled() multiplies times only, so the average keeps summed counters.
+  r.avg = sum.scaled(1.0 / static_cast<double>(profiles.size()));
+  return r;
+}
+
 std::string PhaseProfile::breakdown(double total_override_ns) const {
   const double tot = total_override_ns > 0.0 ? total_override_ns : total_ns();
   std::ostringstream os;

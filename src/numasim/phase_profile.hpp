@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace numabfs::sim {
@@ -89,5 +90,14 @@ class PhaseProfile {
   Counters counters_{};
   double overlap_saved_ns_ = 0.0;
 };
+
+/// Cross-rank view of one SPMD run's per-rank profiles.
+struct RunProfile {
+  double max_total_ns = 0;  ///< the run's virtual wall time (slowest rank)
+  PhaseProfile avg;         ///< times averaged over ranks, counters summed
+  PhaseProfile max;         ///< per-phase max over ranks, counters summed
+};
+
+RunProfile aggregate(std::span<const PhaseProfile> profiles);
 
 }  // namespace numabfs::sim

@@ -3,8 +3,10 @@
 /// landing during another rank's recovery, and crashes stacked with link
 /// degradation on the same node. Every scenario must still produce the
 /// reference answer — chaos shows up as virtual time, never as wrong
-/// distances — and replay bit-identically. Also pins the parse-time
-/// validation contract for contradictory or unreachable fault plans.
+/// distances — and replay bit-identically. Two crashes in one run are
+/// covered for all four level loops (1-D, 2-D, wave, programs), which share
+/// one adoption path. Also pins the parse-time validation contract for
+/// contradictory or unreachable fault plans.
 
 #include <gtest/gtest.h>
 
@@ -15,12 +17,16 @@
 
 #include "bfs/config.hpp"
 #include "bfs/hybrid.hpp"
+#include "bfs2d/bfs2d.hpp"
 #include "engine/msbfs.hpp"
+#include "engine/programs.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
+#include "graph/reference_algos.hpp"
 #include "graph/reference_bfs.hpp"
 #include "graph/validate.hpp"
 #include "harness/graph500.hpp"
+#include "numasim/topology.hpp"
 
 namespace numabfs {
 namespace {
@@ -195,6 +201,66 @@ TEST(CompoundFaults, WaveSurvivesTwoCrashesAndMatchesReference) {
       engine::run_wave(e.cluster(), e.dist(), ws2, qs);
   EXPECT_EQ(wr.wave_ns, wr2.wave_ns);
   EXPECT_EQ(wr.recoveries, wr2.recoveries);
+}
+
+// ---------------------------------------------------------------------------
+// Compound crashes under the 2-D BFS and the frontier programs
+// ---------------------------------------------------------------------------
+
+TEST(CompoundFaults, TwoDSurvivesTwoCrashesAndMatchesReference) {
+  const GraphBundle b = GraphBundle::make(10, 16, 5, 1);
+  const bfs2d::Grid2d grid = bfs2d::Grid2d::make(b.csr.num_vertices(), 16, 4);
+  const bfs2d::DistGraph2d d = bfs2d::DistGraph2d::build(b.csr, grid);
+  rt::Cluster c(sim::Topology::xeon_x7550_cluster(4), sim::CostParams{}, 4);
+  const graph::Vertex root = b.roots[0];
+  c.set_fault_injector(std::make_shared<faults::FaultInjector>(
+      FaultPlan::parse("seed:3,crash:rank=1@level=1,crash:rank=6@level=2"),
+      c.nranks(), c.ppn()));
+
+  std::vector<graph::Vertex> parent, parent2;
+  const bfs2d::Bfs2dResult r = bfs2d::run_bfs_2d(c, d, root, &parent);
+  EXPECT_EQ(r.ranks_lost, 2);
+  EXPECT_EQ(r.recoveries, 2);
+  const auto v = graph::validate_bfs_tree(b.csr, root, parent);
+  ASSERT_TRUE(v.ok) << v.error;
+  EXPECT_EQ(r.visited, graph::reference_bfs(b.csr, root).visited);
+
+  const bfs2d::Bfs2dResult r2 = bfs2d::run_bfs_2d(c, d, root, &parent2);
+  EXPECT_EQ(r.time_ns, r2.time_ns);
+  EXPECT_EQ(parent, parent2);
+}
+
+TEST(CompoundFaults, ProgramSurvivesTwoCrashesAndMatchesReference) {
+  const GraphBundle b = GraphBundle::make(10, 16, 7, 2);
+  Experiment e(b, shape(2, 2));
+  attach(e, "seed:11,crash:rank=1@level=2,crash:rank=2@level=3");
+  const engine::ProgramParams pp;
+  const engine::ProgramQuery q{b.roots[0], b.roots[1]};
+  const auto prog =
+      engine::make_program(engine::ProgramWorkload::sssp, e.dist(), pp);
+
+  const auto run = [&](std::vector<engine::Value>& values) {
+    engine::ProgramState ps(e.dist(), bfs::share_all(), 2, 2,
+                            prog->with_values());
+    const engine::ProgramResult r =
+        engine::run_program(e.cluster(), e.dist(), ps, *prog, q);
+    values = engine::gather_values(e.dist(), ps);
+    return r;
+  };
+  std::vector<engine::Value> values, values2;
+  const engine::ProgramResult r = run(values);
+  ASSERT_TRUE(r.converged);
+  EXPECT_EQ(r.ranks_lost, 2);
+  EXPECT_EQ(r.recoveries, 2);
+  const auto ref = graph::ref_sssp(
+      b.csr, graph::EdgeWeights{pp.weight_seed, pp.sssp_max_weight}, q.source);
+  for (std::uint64_t v = 0; v < e.dist().n; ++v)
+    ASSERT_EQ(values[v], ref[v]) << "vertex " << v;
+
+  const engine::ProgramResult r2 = run(values2);
+  EXPECT_EQ(r.total_ns, r2.total_ns);
+  EXPECT_EQ(r.levels, r2.levels);
+  EXPECT_EQ(values, values2);
 }
 
 }  // namespace

@@ -8,10 +8,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bfs/config.hpp"
 #include "engine/msbfs.hpp"
+#include "faults/errors.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
 #include "graph/reference_bfs.hpp"
@@ -250,6 +252,75 @@ TEST(MsBfs, WaveSurvivesRankCrashWithCorrectLanes) {
   const WaveResult clean = run_wave(ex.cluster(), ex.dist(), ws, qs);
   EXPECT_LT(clean.wave_ns, wr.wave_ns);
   expect_lanes_match_reference(ex, ws, qs);
+}
+
+TEST(MsBfs, AbortAfterRecorderCrashIsReported) {
+  // Rank 0 records the wave's shared results. When it crashes, the level
+  // re-runs and the abort horizon may fall at the re-run's entry: the new
+  // recorder must report that abort, or the front door would never fail
+  // the unfinished lanes over.
+  const GraphBundle b = GraphBundle::make(10, 16, 6, 16);
+  Experiment ex(b, shape(2, 2));
+  ex.cluster().set_fault_injector(std::make_shared<faults::FaultInjector>(
+      faults::FaultPlan::parse("seed:3,crash:rank=0@level=2"),
+      ex.cluster().nranks(), ex.cluster().ppn()));
+  const auto qs = full_wave(b, 8);
+  WaveState ws(ex.dist(), bfs::original(), 2, 2);
+  const WaveResult full = run_wave(ex.cluster(), ex.dist(), ws, qs);
+  ASSERT_EQ(full.recoveries, 1);
+  for (int i = 1; i < 200; ++i) {
+    WaveOptions o;
+    o.abort_at_ns = full.wave_ns * i / 200.0;
+    const WaveResult r = run_wave(ex.cluster(), ex.dist(), ws, qs, o);
+    std::uint64_t open = 0;
+    for (std::size_t l = 0; l < qs.size(); ++l)
+      if (!r.lanes[l].finished) open |= 1ull << l;
+    EXPECT_EQ(r.aborted, open != 0) << "abort_at_ns " << o.abort_at_ns;
+    EXPECT_EQ(r.unfinished, open) << "abort_at_ns " << o.abort_at_ns;
+  }
+}
+
+TEST(MsBfs, ExportStrideSkipsLevelsAndResumes) {
+  // export_every = k exports at the entry of levels 1, 1+k, 1+2k, ...; a
+  // resume from the last such epoch finishes the lanes live there, and
+  // every lane's distances and tree still match the reference.
+  const GraphBundle b = GraphBundle::make(10, 16, 6, 16);
+  Experiment ex(b, shape(2, 2));
+  const auto qs = full_wave(b, 8);
+  WaveState ws(ex.dist(), bfs::original(), 2, 2);
+  for (const int stride : {1, 2, 3}) {
+    WaveCheckpoint ck;
+    WaveOptions o;
+    o.export_to = &ck;
+    o.export_every = stride;
+    const WaveResult wr = run_wave(ex.cluster(), ex.dist(), ws, qs, o);
+    ASSERT_TRUE(ck.valid);
+    EXPECT_EQ(ck.level, wr.levels - (wr.levels - 1) % stride) << stride;
+
+    WaveOptions r;
+    r.resume_from = &ck;
+    const WaveResult resumed = run_wave(ex.cluster(), ex.dist(), ws, qs, r);
+    for (std::size_t l = 0; l < qs.size(); ++l)  // lanes live at the epoch
+      EXPECT_EQ(resumed.lanes[l].finished, (ck.active >> l & 1) != 0) << l;
+    expect_lanes_match_reference(ex, ws, qs);
+  }
+}
+
+TEST(MsBfs, CrashWithCheckpointingOffIsRejected) {
+  const GraphBundle b = GraphBundle::make(9, 16, 1, 4);
+  Experiment ex(b, shape(2, 2));
+  ex.cluster().set_fault_injector(std::make_shared<faults::FaultInjector>(
+      faults::FaultPlan::parse("seed:1,crash:rank=1@level=1,checkpoint:off"),
+      ex.cluster().nranks(), ex.cluster().ppn()));
+  WaveState ws(ex.dist(), bfs::original(), 2, 2);
+  const auto qs = full_wave(b, 4);
+  try {
+    run_wave(ex.cluster(), ex.dist(), ws, qs);
+    FAIL() << "a crash plan without checkpointing must be refused";
+  } catch (const faults::FaultError& e) {
+    // The refusal names the entry point, before any rank starts.
+    EXPECT_EQ(std::string(e.what()).rfind("run_wave: ", 0), 0u) << e.what();
+  }
 }
 
 }  // namespace
