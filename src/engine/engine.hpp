@@ -103,23 +103,29 @@ struct PinnedGraph {
 
 /// Pins the freshest consistent snapshot at virtual instant `now_ns`.
 /// Called once per wave at admission; every lane of the wave serves the
-/// returned epoch (QueryResult::epoch), and exported failover checkpoints
-/// carry it so a resume runs against the same snapshot.
+/// returned epoch (QueryResult::epoch), and the front door's failover unit
+/// holds the pinned view so a resume runs against the same snapshot.
 using GraphSource = std::function<PinnedGraph(double now_ns)>;
 
-struct EngineConfig {
+/// What both serving tiers (QueryEngine, FrontDoor) take, and their one
+/// rule set.
+struct ServingConfig {
   int max_batch = 64;    ///< lanes per wave (1..64)
   int queue_depth = 256; ///< admission queue bound (backpressure beyond it)
-  bool track_parents = true;
-  WaveSink sink;         ///< optional per-wave observer
   ProgramParams programs;    ///< knobs of the program workloads
-  ProgramSink program_sink;  ///< optional per-program-dispatch observer
   GraphSource graph_source;  ///< optional dynamic-graph pin hook (unset:
                              ///< serve the bound static graph)
 
   /// Validate invariants; returns an actionable error message or empty.
-  /// The QueryEngine ctor calls this and throws on a non-empty result.
+  /// The QueryEngine and FrontDoor ctors call this and throw on a
+  /// non-empty result.
   std::string validate() const;
+};
+
+struct EngineConfig : ServingConfig {
+  bool track_parents = true;
+  WaveSink sink;             ///< optional per-wave observer
+  ProgramSink program_sink;  ///< optional per-program-dispatch observer
 };
 
 /// Aggregated serving report.
@@ -165,18 +171,7 @@ class QueryEngine {
   const graph::DistGraph& dg_;
   EngineConfig ec_;
   WaveState ws_;
-  // Program instances are graph-derived (degree arrays, forward adjacency),
-  // so they are cached per (workload, epoch snapshot) and rebuilt when the
-  // serving epoch moves.
-  struct CachedProgram {
-    std::unique_ptr<FrontierProgram> prog;
-    const graph::DistGraph* dg = nullptr;
-    std::uint64_t epoch = 0;
-  };
-  CachedProgram progs_[4];
-
-  const FrontierProgram& program_for(QueryKind k, const graph::DistGraph& dg,
-                                     std::uint64_t epoch);
+  ProgramCache progs_;
 };
 
 /// The program workload a program-kind query runs (is_program_kind only).

@@ -308,8 +308,7 @@ ProgramResult run_program(rt::Cluster& c, const graph::DistGraph& dg,
   const DriverSpec spec{
       .costs = &costs, .slabs = &ps, .n = dg.n,
       .exchange_event = "prog.exchange", .abort_at_ns = opts.abort_at_ns,
-      .export_to = xp, .export_every = std::max(1, opts.export_every),
-      .epoch = opts.epoch};
+      .export_to = xp};
 
   c.run([&](rt::Proc& p) {
     const bfs::UnitCosts& u = costs[static_cast<std::size_t>(p.rank)];

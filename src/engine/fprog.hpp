@@ -33,7 +33,6 @@
 ///    without further communication.
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -206,26 +205,18 @@ struct ProgramCheckpoint : LevelPosition {
   std::vector<std::uint64_t> scalars;
 };
 
-struct ProgramOptions {
-  std::uint64_t epoch = 0;
-  double abort_at_ns = std::numeric_limits<double>::infinity();
-  int export_every = 1;
-  ProgramCheckpoint* export_to = nullptr;
-  const ProgramCheckpoint* resume_from = nullptr;
+struct ProgramOptions : RunOptions<ProgramCheckpoint> {
   /// Divergence backstop: a program still unconverged after this many
   /// levels stops with converged = false (it does not throw — the serving
   /// tier reports the query as failed).
   int max_levels = 1 << 20;
 };
 
-struct ProgramResult : faults::LevelLoopResult {
+struct ProgramResult : RunResult {
   double total_ns = 0;
   bool converged = false;
   double value = 0;   ///< the program's scalar answer for the query
   ProgStats last;     ///< reduced stats of the converging level
-  bool aborted = false;
-  double abort_ns = 0;
-  std::uint64_t epoch = 0;
 };
 
 /// Run `prog` to convergence (or abort) on the cluster. Deterministic for a

@@ -6,7 +6,9 @@
 #include <deque>
 #include <map>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "harness/graph500.hpp"
 #include "obs/trace.hpp"
@@ -68,7 +70,35 @@ double heartbeat_detect_ns(double outage_ns, double period_ns,
 
 namespace {
 
-constexpr std::size_t kNoQuery = static_cast<std::size_t>(-1);
+// Heartbeat detection: a probe every 250 us from t = 0, the first re-probe
+// 50 us after a loss (doubling), and three consecutive losses confirm a
+// death (heartbeat_detect_ns).
+constexpr double kHeartbeatPeriodNs = 250e3;
+constexpr double kHeartbeatBackoffNs = 50e3;
+constexpr int kHeartbeatThreshold = 3;
+/// Trailing observed waves averaged by the admission estimate.
+constexpr int kEstimateWindow = 8;
+
+/// The checkpoint a dispatch exports and resumes from; the alternative it
+/// holds is the dispatch's kind.
+using Checkpoint = std::variant<WaveCheckpoint, ProgramCheckpoint>;
+
+/// `v` as a checkpoint of kind `Ck`; switching kinds starts it empty.
+template <class Ck>
+Ck& slot_of(Checkpoint& v) {
+  return std::holds_alternative<Ck>(v) ? std::get<Ck>(v) : v.emplace<Ck>();
+}
+
+/// A run's virtual duration (max over ranks).
+double run_ns(const WaveResult& r) { return r.wave_ns; }
+double run_ns(const ProgramResult& r) { return r.total_ns; }
+
+template <class... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <class... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
 
 /// The exact-answer degradation cache fed by completed full-distance
 /// lanes. The graph is undirected, so a drained full-distance BFS visits
@@ -156,24 +186,6 @@ class DegradeCache {
 
 }  // namespace
 
-std::string FrontDoorConfig::validate() const {
-  if (max_batch < 1 || max_batch > kMaxLanes)
-    return "max_batch must be in [1, " + std::to_string(kMaxLanes) +
-           "] (one lane word per wave)";
-  if (queue_depth < 1) return "queue_depth must be >= 1";
-  if (hb_period_ns <= 0)
-    return "hb_period_ns must be positive (heartbeat probes need a period)";
-  if (hb_backoff_ns <= 0)
-    return "hb_backoff_ns must be positive (re-probe backoff doubles from it)";
-  if (hb_threshold < 1)
-    return "hb_threshold must be >= 1 consecutive losses";
-  if (export_every < 1)
-    return "export_every must be >= 1 (checkpoint epoch stride in levels)";
-  if (est_window < 1)
-    return "est_window must be >= 1 trailing waves";
-  return {};
-}
-
 FrontDoor::FrontDoor(const bfs::Config& cfg, FrontDoorConfig fdc,
                      std::vector<ReplicaHandle> replicas)
     : cfg_(cfg), fdc_(std::move(fdc)), replicas_(std::move(replicas)) {
@@ -192,10 +204,12 @@ FrontDoor::FrontDoor(const bfs::Config& cfg, FrontDoorConfig fdc,
       throw std::invalid_argument(
           "FrontDoor: replicas must share cluster shape and graph");
   }
+  // Lanes keep distances only: the door answers from distances, and the
+  // per-lane parents are the wave's largest structure.
   states_.reserve(replicas_.size());
   for (const ReplicaHandle& r : replicas_)
     states_.emplace_back(*r.dg, cfg_, r.cluster->topo().nodes(),
-                         r.cluster->ppn(), fdc_.track_parents);
+                         r.cluster->ppn(), /*track_parents=*/false);
 }
 
 FrontDoorReport FrontDoor::serve(std::span<const Query> queries) {
@@ -218,50 +232,47 @@ FrontDoorReport FrontDoor::serve(std::span<const Query> queries) {
   const int R = static_cast<int>(replicas_.size());
   const double inf = std::numeric_limits<double>::infinity();
 
-  // Per-replica health + checkpoint slot. `outage_ns` is tier-absolute
-  // virtual time (unlike the plan's windowed events, which restart with
-  // each wave); `detect_ns` is when the door confirms the death — the
-  // heartbeat closed form, possibly advanced by a data-path timeout.
+  // Per-replica health + checkpoint export slot. `outage_ns` is
+  // tier-absolute virtual time (unlike the plan's windowed events, which
+  // restart with each run); `detect_ns` is when the door confirms the death
+  // — the heartbeat closed form, possibly advanced by a data-path timeout.
   struct RepState {
     double free_ns = 0;
     double outage_ns = std::numeric_limits<double>::infinity();
     double detect_ns = std::numeric_limits<double>::infinity();
-    WaveCheckpoint ckpt;
-    ProgramCheckpoint pckpt;  ///< analytics dispatches export here
+    Checkpoint ckpt;
   };
   std::vector<RepState> reps(static_cast<std::size_t>(R));
   for (int r = 0; r < R; ++r) {
     const faults::FaultInjector* inj = replicas_[r].cluster->injector();
     auto& rs = reps[static_cast<std::size_t>(r)];
     rs.outage_ns = inj != nullptr ? inj->outage_at_ns() : inf;
-    rs.detect_ns = heartbeat_detect_ns(rs.outage_ns, fdc_.hb_period_ns,
-                                       fdc_.hb_backoff_ns, fdc_.hb_threshold);
+    rs.detect_ns = heartbeat_detect_ns(rs.outage_ns, kHeartbeatPeriodNs,
+                                       kHeartbeatBackoffNs, kHeartbeatThreshold);
   }
 
-  // A failover unit: the surviving work of an aborted wave, ready for
-  // re-dispatch once the death is detected. When the dead replica exported
-  // a valid epoch the unit resumes from it; otherwise the unfinished
-  // lanes re-run from scratch on the healthy replica.
-  struct Failover {
-    std::vector<WaveQuery> batch;   // the original wave's lanes
-    std::vector<std::size_t> idx;   // lane -> query index
-    WaveCheckpoint ckpt;
-    std::uint64_t resume_mask = 0;
-    // Analytics units: one program query, resumed from its own checkpoint
-    // kind (batch/ckpt/resume_mask stay empty).
-    bool is_program = false;
-    ProgramCheckpoint pckpt;
-    double ready_ns = 0;   // detection instant
-    double abort_abs = 0;  // tier-absolute abort time
-    // The aborted wave's pinned snapshot (dynamic graphs): the resume runs
-    // against the SAME epoch on the healthy replica — the checkpointed lane
+  // The one dispatch unit, fresh or failed over: a wave's lanes or one
+  // analytics query, the snapshot it serves, and the checkpoint of its kind
+  // that its last run exported. A failover re-dispatch resumes from that
+  // checkpoint when it is valid (death after the first export); otherwise
+  // the unfinished work re-runs from scratch on the healthy replica.
+  struct Dispatch {
+    std::vector<WaveQuery> batch;   // wave lanes (empty for a program)
+    std::vector<std::size_t> idx;   // lane -> query index (a program: one)
+    // The pinned snapshot (dynamic graphs): a failover re-dispatch runs
+    // against the SAME epoch on the healthy replica — the checkpointed
     // state is only meaningful relative to that adjacency. Holding the
     // shared_ptr keeps the snapshot alive across background compactions.
     PinnedGraph pg;
+    Checkpoint ckpt;
+    std::uint64_t unfinished = 0;  // wave lanes still active at the abort
+    double ready_ns = 0;   // failover: detection instant
+    double abort_abs = 0;  // failover: tier-absolute abort time
   };
-  std::vector<Failover> pending;
+  std::vector<Dispatch> pending;
 
   DegradeCache cache(*replicas_.front().dg);
+  ProgramCache progs(fdc_.programs);
   const int ncls = static_cast<int>(SloClass::kCount);
   std::vector<std::deque<std::size_t>> queues(static_cast<std::size_t>(ncls));
   std::size_t next = 0;
@@ -282,7 +293,7 @@ FrontDoorReport FrontDoor::serve(std::span<const Query> queries) {
     double sum = 0;
     int cnt = 0;
     for (auto it = history.rbegin();
-         it != history.rend() && cnt < fdc_.est_window; ++it) {
+         it != history.rend() && cnt < kEstimateWindow; ++it) {
       if (it->complete_ns > t) continue;
       sum += it->dur_ns;
       ++cnt;
@@ -324,39 +335,38 @@ FrontDoorReport FrontDoor::serve(std::span<const Query> queries) {
     --unresolved;
   };
 
-  // Deadline-aware batch formation, most-critical class first. A k-hop or
-  // reachability query that cannot meet its deadline (by the trailing
-  // estimate) is degraded to an exact cached answer when possible, shed
-  // otherwise; full-distance queries always ride a wave. Cache lookups are
-  // made against `epoch` — the snapshot pinned for this dispatch — so a
-  // degraded answer is always consistent with the graph the query would
-  // have been served on. Analytics queries are background work: when no
-  // wave query is dispatchable, exactly one is popped and returned (it owns
-  // the whole dispatch); they are never shed or degraded.
-  const auto form_batch = [&](double t, std::uint64_t epoch,
-                              std::vector<WaveQuery>& batch,
-                              std::vector<std::size_t>& idx) -> std::size_t {
+  // Deadline-aware batch formation into `u`, most-critical class first. A
+  // k-hop or reachability query that cannot meet its deadline (by the
+  // trailing estimate) is degraded to an exact cached answer when possible,
+  // shed otherwise; full-distance queries always ride a wave. Cache lookups
+  // are made against the snapshot pinned for this dispatch, so a degraded
+  // answer is always consistent with the graph the query would have been
+  // served on. Analytics queries are background work: when no wave query
+  // is dispatchable, exactly one is popped into the unit (it owns the whole
+  // dispatch); they are never shed or degraded. Returns whether the unit
+  // has anything to run.
+  const auto form_batch = [&](double t, Dispatch& u) {
     const double est = est_wave_ns(t);
     for (int c = 0; c < ncls; ++c) {
       if (static_cast<SloClass>(c) == SloClass::analytics) continue;
       auto& q = queues[static_cast<std::size_t>(c)];
       while (!q.empty() &&
-             batch.size() < static_cast<std::size_t>(fdc_.max_batch)) {
+             u.batch.size() < static_cast<std::size_t>(fdc_.max_batch)) {
         const std::size_t qi = q.front();
         const Query& query = queries[qi];
         const auto cls = static_cast<SloClass>(c);
+        q.pop_front();
+        --queued;
         if (cls != SloClass::full_distance && est > 0 &&
             t + est > query.arrival_ns + fdc_.slo.deadline_ns(cls)) {
-          q.pop_front();
-          --queued;
           bool reached = false;
           std::uint64_t visited = 0;
-          if (fdc_.degrade && cls == SloClass::reachability &&
-              cache.try_reach(query.source, query.target, t, epoch,
+          if (cls == SloClass::reachability &&
+              cache.try_reach(query.source, query.target, t, u.pg.epoch,
                               reached)) {
             resolve_degraded(qi, t, reached, 0);
-          } else if (fdc_.degrade && cls == SloClass::k_hop &&
-                     cache.try_khop(query.source, query.k, t, epoch,
+          } else if (cls == SloClass::k_hop &&
+                     cache.try_khop(query.source, query.k, t, u.pg.epoch,
                                     visited)) {
             resolve_degraded(qi, t, false, visited);
           } else {
@@ -364,216 +374,174 @@ FrontDoorReport FrontDoor::serve(std::span<const Query> queries) {
           }
           continue;
         }
-        q.pop_front();
-        --queued;
         rep.results[qi].start_ns = t;
-        batch.push_back({query.kind, query.source, query.target, query.k});
-        idx.push_back(qi);
+        u.batch.push_back({query.kind, query.source, query.target, query.k});
+        u.idx.push_back(qi);
       }
     }
     auto& aq = queues[static_cast<std::size_t>(
         static_cast<int>(SloClass::analytics))];
-    if (batch.empty() && !aq.empty()) {
+    if (u.batch.empty() && !aq.empty()) {
       const std::size_t qi = aq.front();
       aq.pop_front();
       --queued;
       rep.results[qi].start_ns = t;
-      return qi;
+      u.idx.assign(1, qi);
+      u.ckpt.emplace<ProgramCheckpoint>();
     }
-    return kNoQuery;
+    return !u.idx.empty();
   };
 
-  // Run one wave on replica `r` at tier time `start` and account for it:
-  // settle finished lanes (feeding the degradation cache), and turn an
-  // abort into a pending failover unit. Shared by fresh, resumed and
-  // re-run dispatches.
-  const auto launch = [&](int r, double start, std::vector<WaveQuery> batch,
-                          std::vector<std::size_t> idx,
-                          const WaveCheckpoint* resume,
-                          std::uint64_t resume_mask, bool after_failover,
-                          PinnedGraph pg) {
+  // The kind-specific halves of a launch, picked by the unit's checkpoint
+  // type. `run` runs the unit on replica `r` with the shared options;
+  // `settle` traces the dispatch and resolves the answers that finished.
+  const auto run = Overloaded{
+      [&](int r, const graph::DistGraph& dg, Dispatch& u,
+          const RunOptions<WaveCheckpoint>& o) {
+        if (o.resume_from == nullptr && u.unfinished != 0) {
+          // No usable epoch (death before the first export): re-run the
+          // unfinished lanes — the unit's pending queries — from scratch.
+          std::size_t kept = 0;
+          for (std::size_t l = 0; l < u.idx.size(); ++l) {
+            if (!(u.unfinished >> l & 1)) continue;
+            u.batch[kept] = u.batch[l];
+            u.idx[kept++] = u.idx[l];
+          }
+          u.batch.resize(kept);
+          u.idx.resize(kept);
+          u.unfinished = 0;
+        }
+        return run_wave(*replicas_[static_cast<std::size_t>(r)].cluster, dg,
+                        states_[static_cast<std::size_t>(r)], u.batch,
+                        WaveOptions{o, u.unfinished});
+      },
+      [&](int r, const graph::DistGraph& dg, Dispatch& u,
+          const RunOptions<ProgramCheckpoint>& o) {
+        rt::Cluster& c = *replicas_[static_cast<std::size_t>(r)].cluster;
+        const Query& q = queries[u.idx.front()];
+        const FrontierProgram& prog =
+            progs.get(workload_of(q.kind), dg, u.pg.epoch);
+        ProgramState ps(dg, cfg_, c.topo().nodes(), c.ppn(),
+                        prog.with_values());
+        return run_program(c, dg, ps, prog, ProgramQuery{q.source, q.target},
+                           ProgramOptions{o, fdc_.programs.max_levels});
+      }};
+
+  const auto resolve_run = [&](std::size_t qi, int r, bool failed_over,
+                               std::uint64_t epoch, double complete_ns,
+                               int level) -> ServedQuery& {
+    auto& res = rep.results[qi];
+    res.outcome = failed_over ? Outcome::failed_over : Outcome::served;
+    res.replica = r;
+    res.epoch = epoch;
+    res.complete_ns = complete_ns;
+    res.complete_level = level;
+    --unresolved;
+    end_ns = std::max(end_ns, complete_ns);
+    return res;
+  };
+  const auto settle = Overloaded{
+      // Waves settle their finished lanes (full-distance lanes feed the
+      // degradation cache), feed the wave-time estimate and call the sink;
+      // unfinished lanes stay in the unit for a failover.
+      [&](int r, double start, bool failed_over, const graph::DistGraph& dg,
+          Dispatch& u, const WaveResult& wr) {
+        if (obs::Tracer* tr = replicas_[static_cast<std::size_t>(r)]
+                                  .cluster->tracer())
+          tr->instant(tr->host_track(), obs::kCatEngine,
+                      failed_over ? "wave.failover" : "wave.dispatch", start,
+                      obs::kv("replica", r) + "," +
+                          obs::kv("batch", static_cast<int>(u.batch.size())));
+        ++rep.waves;
+        history.push_back({start + wr.wave_ns, wr.wave_ns});
+        WaveState& ws = states_[static_cast<std::size_t>(r)];
+        for (std::size_t l = 0; l < u.idx.size(); ++l) {
+          const LaneResult& lr = wr.lanes[l];
+          if (!lr.finished) continue;
+          auto& res = resolve_run(u.idx[l], r, failed_over, wr.epoch,
+                                  start + lr.complete_ns, lr.complete_level);
+          res.reached = lr.reached;
+          res.visited = lr.visited;
+          if (u.batch[l].kind == QueryKind::full_distances)
+            cache.harvest(dg, ws, static_cast<int>(l), u.batch[l].source,
+                          res.complete_ns, wr.epoch);
+        }
+        if (fdc_.sink) fdc_.sink(r, u.batch, wr, ws);
+        u.unfinished = wr.unfinished;
+      },
+      // A program settles its one value. Program runs deliberately do NOT
+      // feed the wave-time estimate: they run far longer than a wave, and
+      // counting them would make the admission policy shed interactive
+      // queries after every analytics job.
+      [&](int r, double start, bool failed_over, const graph::DistGraph&,
+          Dispatch& u, const ProgramResult& pr) {
+        const Query& q = queries[u.idx.front()];
+        if (obs::Tracer* tr = replicas_[static_cast<std::size_t>(r)]
+                                  .cluster->tracer())
+          tr->instant(tr->host_track(), obs::kCatEngine,
+                      failed_over ? "program.failover" : "program.dispatch",
+                      start,
+                      obs::kv("replica", r) + "," + obs::kv("query", q.id) +
+                          "," +
+                          obs::kv("workload", to_string(workload_of(q.kind))));
+        ++rep.program_runs;
+        if (pr.aborted) return;
+        resolve_run(u.idx.front(), r, failed_over, pr.epoch,
+                    start + pr.total_ns, pr.levels)
+            .value = pr.value;
+      }};
+
+  // Run one dispatch unit on replica `r` at tier time `start` and account
+  // for it: settle its answers, and turn an abort into a pending failover
+  // unit. Fresh, resumed and re-run dispatches of both kinds share it.
+  const auto launch = [&](int r, double start, Dispatch u, bool failed_over) {
     auto& rs = reps[static_cast<std::size_t>(r)];
-    rt::Cluster& c = *replicas_[static_cast<std::size_t>(r)].cluster;
-    // Snapshot acquisition is on the serving path: the pin delays the wave
+    // Snapshot acquisition is on the serving path: the pin delays the run
     // (a failover re-dispatch carries pin_ns = 0 — it already holds the
     // snapshot). Replicas are content-identical, so one pinned view stands
     // in for each replica's local copy of the same epoch.
-    start += pg.pin_ns;
+    start += u.pg.pin_ns;
     const graph::DistGraph& dg =
-        pg.graph != nullptr ? *pg.graph
-                            : *replicas_[static_cast<std::size_t>(r)].dg;
-    WaveState& ws = states_[static_cast<std::size_t>(r)];
+        u.pg.graph != nullptr ? *u.pg.graph
+                              : *replicas_[static_cast<std::size_t>(r)].dg;
+    obs::Tracer* tr = replicas_[static_cast<std::size_t>(r)].cluster->tracer();
+    const double abort_abs = std::visit(
+        [&](auto& ck) {
+          using Ck = std::remove_reference_t<decltype(ck)>;
+          RunOptions<Ck> o;
+          o.epoch = u.pg.epoch;
+          if (rs.outage_ns < inf) o.abort_at_ns = rs.outage_ns - start;
+          o.export_to = &slot_of<Ck>(rs.ckpt);
+          if (ck.valid) o.resume_from = &ck;
 
-    WaveOptions o;
-    o.epoch = pg.epoch;
-    if (rs.outage_ns < inf) o.abort_at_ns = rs.outage_ns - start;
-    o.export_every = fdc_.export_every;
-    if (fdc_.checkpoint_waves) o.export_to = &rs.ckpt;
-    o.resume_from = resume;
-    o.resume_active = resume_mask;
+          if (tr != nullptr) tr->set_base_ns(start);
+          const auto res = run(r, dg, u, o);
+          if (tr != nullptr) tr->set_base_ns(0);
+          settle(r, start, failed_over, dg, u, res);
 
-    obs::Tracer* tr = c.tracer();
-    if (tr != nullptr) tr->set_base_ns(start);
-    const WaveResult wr = run_wave(c, dg, ws, batch, o);
-    if (tr != nullptr) {
-      tr->set_base_ns(0);
-      tr->instant(tr->host_track(), obs::kCatEngine,
-                  after_failover ? "wave.failover" : "wave.dispatch", start,
-                  obs::kv("replica", r) + "," +
-                      obs::kv("batch", static_cast<int>(batch.size())));
-    }
-
-    ++rep.waves;
-    rep.levels += wr.levels;
-    rep.recoveries += wr.recoveries;
-    rep.ranks_lost = std::max(rep.ranks_lost, wr.ranks_lost);
-    rep.busy_ns += wr.wave_ns;
-    rep.counters += wr.profile_avg.counters();
-    rs.free_ns = start + wr.wave_ns;
-    end_ns = std::max(end_ns, rs.free_ns);
-    history.push_back({rs.free_ns, wr.wave_ns});
-
-    for (std::size_t l = 0; l < idx.size(); ++l) {
-      const std::size_t qi = idx[l];
-      if (qi == kNoQuery) continue;
-      auto& res = rep.results[qi];
-      if (res.outcome != Outcome::pending) continue;
-      const LaneResult& lr = wr.lanes[l];
-      if (!lr.finished) continue;  // aborted first; the failover unit below
-      res.outcome = after_failover ? Outcome::failed_over : Outcome::served;
-      res.replica = r;
-      res.epoch = wr.epoch;
-      res.complete_ns = start + lr.complete_ns;
-      res.complete_level = lr.complete_level;
-      res.reached = lr.reached;
-      res.visited = lr.visited;
-      --unresolved;
-      end_ns = std::max(end_ns, res.complete_ns);
-      if (fdc_.degrade && batch[l].kind == QueryKind::full_distances)
-        cache.harvest(dg, ws, static_cast<int>(l), batch[l].source,
-                      res.complete_ns, wr.epoch);
-    }
-    if (fdc_.sink) fdc_.sink(r, batch, wr, ws);
-
-    if (wr.aborted) {
-      // The batch timed out at the door: a data-path detection signal,
-      // often well ahead of the heartbeat prober. Either way, the replica
-      // is out and the surviving lanes become a failover unit.
-      const double abort_abs = start + wr.abort_ns;
-      rs.detect_ns =
-          std::min(rs.detect_ns, abort_abs + fdc_.hb_backoff_ns);
-      Failover fo;
-      fo.batch = std::move(batch);
-      fo.idx = std::move(idx);
-      fo.ckpt = std::move(rs.ckpt);
-      rs.ckpt = WaveCheckpoint{};
-      fo.resume_mask = fo.ckpt.valid ? (wr.unfinished & fo.ckpt.active)
-                                     : wr.unfinished;
-      fo.ready_ns = rs.detect_ns;
-      fo.abort_abs = abort_abs;
-      fo.pg = std::move(pg);
-      fo.pg.pin_ns = 0;  // the snapshot is already held; no re-pin charge
-      pending.push_back(std::move(fo));
-    }
-  };
-
-  // Analytics program instances are graph-derived (degree arrays, forward
-  // adjacency); cache one per workload, rebuilt when the epoch moves.
-  struct CachedProg {
-    std::unique_ptr<FrontierProgram> prog;
-    const graph::DistGraph* dg = nullptr;
-    std::uint64_t epoch = 0;
-  };
-  std::array<CachedProg, 4> prog_cache;
-  const auto program_for = [&](ProgramWorkload w, const graph::DistGraph& dg,
-                               std::uint64_t epoch) -> const FrontierProgram& {
-    CachedProg& s = prog_cache[static_cast<std::size_t>(w)];
-    if (s.prog == nullptr || s.dg != &dg || s.epoch != epoch) {
-      s.prog = make_program(w, dg, fdc_.programs);
-      s.dg = &dg;
-      s.epoch = epoch;
-    }
-    return *s.prog;
-  };
-
-  // Dispatch one analytics query through run_program on replica `r`: the
-  // program owns the whole cluster for its duration, exports failover
-  // checkpoints like a wave, and an outage-aborted run becomes a program
-  // failover unit that resumes (or re-runs) on a healthy replica.
-  const auto launch_program = [&](int r, double start, std::size_t qi,
-                                  const ProgramCheckpoint* resume,
-                                  bool after_failover, PinnedGraph pg) {
-    auto& rs = reps[static_cast<std::size_t>(r)];
-    rt::Cluster& c = *replicas_[static_cast<std::size_t>(r)].cluster;
-    start += pg.pin_ns;
-    const graph::DistGraph& dg =
-        pg.graph != nullptr ? *pg.graph
-                            : *replicas_[static_cast<std::size_t>(r)].dg;
-    const Query& query = queries[qi];
-    const FrontierProgram& prog =
-        program_for(workload_of(query.kind), dg, pg.epoch);
-    ProgramState pstate(dg, cfg_, c.topo().nodes(), c.ppn(),
-                        prog.with_values());
-
-    ProgramOptions o;
-    o.epoch = pg.epoch;
-    o.max_levels = fdc_.programs.max_levels;
-    if (rs.outage_ns < inf) o.abort_at_ns = rs.outage_ns - start;
-    o.export_every = fdc_.export_every;
-    if (fdc_.checkpoint_waves) o.export_to = &rs.pckpt;
-    o.resume_from = resume;
-
-    obs::Tracer* tr = c.tracer();
-    if (tr != nullptr) tr->set_base_ns(start);
-    const ProgramResult res =
-        run_program(c, dg, pstate, prog,
-                    ProgramQuery{query.source, query.target}, o);
-    if (tr != nullptr) {
-      tr->set_base_ns(0);
-      tr->instant(tr->host_track(), obs::kCatEngine,
-                  after_failover ? "program.failover" : "program.dispatch",
-                  start,
-                  obs::kv("replica", r) + "," + obs::kv("query", query.id) +
-                      "," + obs::kv("workload", prog.name()));
-    }
-
-    ++rep.program_runs;
-    rep.levels += res.levels;
-    rep.recoveries += res.recoveries;
-    rep.ranks_lost = std::max(rep.ranks_lost, res.ranks_lost);
-    rep.busy_ns += res.total_ns;
-    rep.counters += res.profile_avg.counters();
-    rs.free_ns = start + res.total_ns;
-    end_ns = std::max(end_ns, rs.free_ns);
-    // Program runs deliberately do NOT feed the wave-time estimate: they
-    // run far longer than a wave, and counting them would make the
-    // admission policy shed interactive queries after every analytics job.
-
-    if (res.aborted) {
-      const double abort_abs = start + res.abort_ns;
-      rs.detect_ns = std::min(rs.detect_ns, abort_abs + fdc_.hb_backoff_ns);
-      Failover fo;
-      fo.is_program = true;
-      fo.idx.assign(1, qi);
-      fo.pckpt = std::move(rs.pckpt);
-      rs.pckpt = ProgramCheckpoint{};
-      fo.ready_ns = rs.detect_ns;
-      fo.abort_abs = abort_abs;
-      fo.pg = std::move(pg);
-      fo.pg.pin_ns = 0;  // the snapshot is already held; no re-pin charge
-      pending.push_back(std::move(fo));
-      return;
-    }
-
-    auto& sq = rep.results[qi];
-    sq.outcome = after_failover ? Outcome::failed_over : Outcome::served;
-    sq.replica = r;
-    sq.epoch = res.epoch;
-    sq.complete_ns = start + res.total_ns;
-    sq.complete_level = res.levels;
-    sq.value = res.value;
-    --unresolved;
-    end_ns = std::max(end_ns, sq.complete_ns);
+          rep.levels += res.levels;
+          rep.recoveries += res.recoveries;
+          rep.ranks_lost = std::max(rep.ranks_lost, res.ranks_lost);
+          rep.busy_ns += run_ns(res);
+          rep.counters += res.profile_avg.counters();
+          rs.free_ns = start + run_ns(res);
+          end_ns = std::max(end_ns, rs.free_ns);
+          if (!res.aborted) return inf;
+          // The unit fails over with the checkpoint this run exported.
+          ck = std::move(*o.export_to);
+          *o.export_to = Ck{};
+          return start + res.abort_ns;
+        },
+        u.ckpt);
+    if (!(abort_abs < inf)) return;
+    // The run timed out at the door: a data-path detection signal, often
+    // well ahead of the heartbeat prober. Either way, the replica is out
+    // and the unit waits for the detection.
+    rs.detect_ns = std::min(rs.detect_ns, abort_abs + kHeartbeatBackoffNs);
+    u.ready_ns = rs.detect_ns;
+    u.abort_abs = abort_abs;
+    u.pg.pin_ns = 0;  // the snapshot is already held; no re-pin charge
+    pending.push_back(std::move(u));
   };
 
   while (unresolved > 0) {
@@ -583,50 +551,20 @@ FrontDoorReport FrontDoor::serve(std::span<const Query> queries) {
     for (int r = 0; r < R; ++r) {
       auto& rs = reps[static_cast<std::size_t>(r)];
       if (now >= rs.detect_ns) continue;  // confirmed down
-      if (rs.free_ns > now) continue;     // mid-wave
+      if (rs.free_ns > now) continue;     // mid-run
 
-      // Failover units outrank fresh batches: their queries are the
+      // Failover units outrank fresh dispatches: their queries are the
       // oldest in the system and already paid the detection blip.
-      int fi = -1;
-      for (std::size_t i = 0; i < pending.size(); ++i)
-        if (pending[i].ready_ns <= now) {
-          fi = static_cast<int>(i);
-          break;
-        }
-      if (fi >= 0) {
-        Failover fo = std::move(pending[static_cast<std::size_t>(fi)]);
-        pending.erase(pending.begin() + fi);
+      const auto ready = std::find_if(
+          pending.begin(), pending.end(),
+          [&](const Dispatch& u) { return u.ready_ns <= now; });
+      if (ready != pending.end()) {
+        Dispatch u = std::move(*ready);
+        pending.erase(ready);
         ++rep.failovers;
         rep.failover_blip_ns =
-            std::max(rep.failover_blip_ns, now - fo.abort_abs);
-        if (fo.is_program) {
-          // One analytics query: resume from the exported program epoch
-          // when the dead replica managed to ship one, re-run otherwise.
-          const std::size_t qi = fo.idx.front();
-          if (rep.results[qi].outcome == Outcome::pending)
-            launch_program(r, now, qi, fo.pckpt.valid ? &fo.pckpt : nullptr,
-                           true, std::move(fo.pg));
-        } else if (fo.ckpt.valid && fo.resume_mask != 0) {
-          launch(r, now, std::move(fo.batch), std::move(fo.idx), &fo.ckpt,
-                 fo.resume_mask, true, std::move(fo.pg));
-        } else {
-          // No usable epoch (death before the first export): re-run the
-          // unfinished lanes from scratch.
-          std::vector<WaveQuery> batch;
-          std::vector<std::size_t> idx;
-          for (std::size_t l = 0; l < fo.idx.size(); ++l) {
-            if (!(fo.resume_mask >> l & 1) || fo.idx[l] == kNoQuery)
-              continue;
-            if (rep.results[fo.idx[l]].outcome != Outcome::pending) continue;
-            batch.push_back(fo.batch[l]);
-            idx.push_back(fo.idx[l]);
-          }
-          // The from-scratch re-run still serves the original epoch: the
-          // query was admitted against that snapshot, and the unit holds it.
-          if (!batch.empty())
-            launch(r, now, std::move(batch), std::move(idx), nullptr, 0,
-                   true, std::move(fo.pg));
-        }
+            std::max(rep.failover_blip_ns, now - u.abort_abs);
+        launch(r, now, std::move(u), true);
         launched = true;
         continue;
       }
@@ -634,21 +572,10 @@ FrontDoorReport FrontDoor::serve(std::span<const Query> queries) {
       // The snapshot is pinned BEFORE the batch forms: degradation-cache
       // lookups inside form_batch answer against the epoch this dispatch
       // would serve, never against a stale labeling from an older snapshot.
-      PinnedGraph pg;
-      if (fdc_.graph_source) pg = fdc_.graph_source(now);
-      std::vector<WaveQuery> batch;
-      std::vector<std::size_t> idx;
-      const std::size_t pqi = form_batch(now, pg.epoch, batch, idx);
-      if (pqi != kNoQuery) {
-        launch_program(r, now, pqi, nullptr, false, std::move(pg));
-        last_dequeue = now;
-        admit(now);
-        launched = true;
-        continue;
-      }
-      if (batch.empty()) continue;  // everything degraded or shed
-      launch(r, now, std::move(batch), std::move(idx), nullptr, 0, false,
-             std::move(pg));
+      Dispatch u;
+      if (fdc_.graph_source) u.pg = fdc_.graph_source(now);
+      if (!form_batch(now, u)) continue;  // everything degraded or shed
+      launch(r, now, std::move(u), false);
       last_dequeue = now;
       admit(now);  // freed queue slots let door-blocked arrivals in
       launched = true;
@@ -665,17 +592,16 @@ FrontDoorReport FrontDoor::serve(std::span<const Query> queries) {
     }
     if (next < nq && queued < static_cast<std::size_t>(fdc_.queue_depth))
       tnext = std::min(tnext, queries[next].arrival_ns);
-    for (const Failover& fo : pending)
-      if (fo.ready_ns > now) tnext = std::min(tnext, fo.ready_ns);
+    for (const Dispatch& u : pending)
+      if (u.ready_ns > now) tnext = std::min(tnext, u.ready_ns);
 
     if (!(tnext < inf)) {
       // No event can ever serve the remainder: every replica is down.
       for (auto& q : queues)
         for (const std::size_t qi : q) resolve_dropped(qi, Outcome::lost);
-      for (const Failover& fo : pending)
-        for (const std::size_t qi : fo.idx)
-          if (qi != kNoQuery &&
-              rep.results[qi].outcome == Outcome::pending)
+      for (const Dispatch& u : pending)
+        for (const std::size_t qi : u.idx)
+          if (rep.results[qi].outcome == Outcome::pending)
             resolve_dropped(qi, Outcome::lost);
       while (next < nq) resolve_dropped(next++, Outcome::lost);
       break;
@@ -684,33 +610,24 @@ FrontDoorReport FrontDoor::serve(std::span<const Query> queries) {
   }
   end_ns = std::max(end_ns, now);
 
-  // Aggregate per class.
+  // Aggregate per class. Shed and lost queries are misses by definition.
   std::vector<std::vector<double>> lat(static_cast<std::size_t>(ncls));
+  std::vector<int> met(static_cast<std::size_t>(ncls), 0);
   for (auto& res : rep.results) {
-    auto& cs = rep.cls[static_cast<int>(res.cls)];
+    const auto c = static_cast<std::size_t>(static_cast<int>(res.cls));
+    auto& cs = rep.cls[c];
     ++cs.submitted;
-    const double deadline = fdc_.slo.deadline_ns(res.cls);
     switch (res.outcome) {
       case Outcome::served:
-      case Outcome::failed_over:
-        ++cs.served;
-        res.slo_met = res.latency_ns() <= deadline;
-        lat[static_cast<std::size_t>(static_cast<int>(res.cls))].push_back(
-            res.latency_ns());
-        break;
-      case Outcome::degraded:
-        ++cs.degraded;
-        res.slo_met = res.latency_ns() <= deadline;
-        lat[static_cast<std::size_t>(static_cast<int>(res.cls))].push_back(
-            res.latency_ns());
-        break;
+      case Outcome::failed_over: ++cs.served; break;
+      case Outcome::degraded: ++cs.degraded; break;
       case Outcome::shed:
       case Outcome::lost:
-      case Outcome::pending:
-        ++cs.shed;
-        res.slo_met = false;
-        break;
+      case Outcome::pending: ++cs.shed; continue;
     }
+    res.slo_met = res.latency_ns() <= fdc_.slo.deadline_ns(res.cls);
+    met[c] += res.slo_met ? 1 : 0;
+    lat[c].push_back(res.latency_ns());
   }
   for (int c = 0; c < ncls; ++c) {
     auto& cs = rep.cls[c];
@@ -721,12 +638,11 @@ FrontDoorReport FrontDoor::serve(std::span<const Query> queries) {
       cs.p95_ns = harness::percentile(v, 95);
       cs.p99_ns = harness::percentile(v, 99);
     }
-    int met = 0;
-    for (const auto& res : rep.results)
-      if (static_cast<int>(res.cls) == c && res.slo_met) ++met;
-    cs.attainment = cs.submitted > 0
-                        ? static_cast<double>(met) / cs.submitted
-                        : 1.0;
+    cs.attainment =
+        cs.submitted > 0
+            ? static_cast<double>(met[static_cast<std::size_t>(c)]) /
+                  cs.submitted
+            : 1.0;
   }
   rep.total_ns = end_ns;
   rep.shed_rate = static_cast<double>(rep.shed) / static_cast<double>(nq);

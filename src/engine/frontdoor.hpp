@@ -96,34 +96,16 @@ struct SloSpec {
 double heartbeat_detect_ns(double outage_ns, double period_ns,
                            double backoff_ns, int threshold);
 
-struct FrontDoorConfig {
-  int max_batch = 64;     ///< lanes per wave (1..64)
-  int queue_depth = 256;  ///< admission bound across all classes
-  bool track_parents = false;
+/// A set graph_source pins a snapshot per fresh dispatch; the pinned view
+/// travels with the dispatch's failover unit, so a failover resumes against
+/// the SAME snapshot, never a newer epoch.
+struct FrontDoorConfig : ServingConfig {
   SloSpec slo;
-  double hb_period_ns = 250e3;  ///< heartbeat probe period
-  double hb_backoff_ns = 50e3;  ///< first re-probe backoff (doubles)
-  int hb_threshold = 3;         ///< consecutive losses confirming death
-  int export_every = 1;         ///< checkpoint epoch stride (levels)
-  bool checkpoint_waves = true; ///< export failover epochs (costs time)
-  bool degrade = true;          ///< cached degraded answers (off: shed)
-  int est_window = 8;           ///< trailing waves in the time estimate
-  ProgramParams programs;       ///< knobs of the analytics workloads
   /// Optional per-wave observer: (replica, batch, result, state) — the
   /// test hook for validating lane state in place before reuse.
   std::function<void(int, std::span<const WaveQuery>, const WaveResult&,
                      WaveState&)>
       sink;
-  /// Optional dynamic-graph pin hook (engine.hpp). When set, every fresh
-  /// wave pins a snapshot at dispatch and serves that epoch; the pinned
-  /// view travels with the wave's failover unit, so a mid-query failover
-  /// resumes against the SAME snapshot on the healthy replica — never a
-  /// newer epoch that would make the checkpointed lane state inconsistent.
-  GraphSource graph_source;
-
-  /// Validate invariants; returns an actionable error message or empty.
-  /// The FrontDoor ctor calls this and throws on a non-empty result.
-  std::string validate() const;
 };
 
 /// How one query left the tier.

@@ -237,12 +237,11 @@ void LevelDriver::run(LevelPosition pos) {
     // runs before the crash point, so an exported epoch always describes a
     // fully pre-death state, even when the exporting rank is the one dying.
     LevelPosition* xp = spec_.export_to;
-    if (xp != nullptr && (pos.level - 1) % spec_.export_every == 0) {
+    if (xp != nullptr) {
       for (int q : parts()) eng_.export_part(q);
       if (p_.rank == recorder()) {
         eng_.export_replica();
         *xp = pos;
-        xp->epoch = spec_.epoch;
         xp->valid = true;
       }
       p_.barrier(world, sim::Phase::stall);  // epoch complete pre-death

@@ -5,9 +5,9 @@
 ///
 /// The driver owns what the two loops share: the cost-model direction
 /// choice, the codec-gated exchange funnel (measure, gate, chunk bytes, the
-/// collective plan, wipe), the abort horizon, the cross-replica export
-/// cadence, the crash point and the crash recovery (faults::LevelRecovery),
-/// and recorder tracking. An engine plugs in through FrontierEngine: its
+/// collective plan, wipe), the abort horizon, the cross-replica export at
+/// every level entry, the crash point and the crash recovery
+/// (faults::LevelRecovery), and recorder tracking. An engine plugs in through FrontierEngine: its
 /// kernels, its checkpoint contents, and what closes a level (lane
 /// retirement for the wave, post_level for programs). Seeding and failover
 /// import stay with the engine, ahead of the loop.
@@ -32,13 +32,35 @@ namespace numabfs::engine {
 /// it.
 struct LevelPosition {
   bool valid = false;
-  /// Graph epoch the exporting run was pinned to. A failover resume must
-  /// run against the same pinned snapshot — the checkpointed state is only
-  /// meaningful relative to that adjacency.
-  std::uint64_t epoch = 0;
   int level = 1;             ///< level the next kernel would run
   int dir = 0;               ///< its kernel: 0 push/sparse, 1 pull/dense
   bool use_summary = false;  ///< the pull kernel's frontier-summary decision
+};
+
+/// The knobs every driven run takes (WaveOptions, ProgramOptions), typed by
+/// the run's checkpoint. The defaults run plainly: no horizon, no export,
+/// fresh start.
+template <class Checkpoint>
+struct RunOptions {
+  /// Graph epoch label (dynamic graph layer), stamped into the result; the
+  /// caller passes the matching pinned view, also when resuming.
+  std::uint64_t epoch = 0;
+  /// The replica's outage instant: the run aborts at the first
+  /// clock-aligned point at or past it.
+  double abort_at_ns = std::numeric_limits<double>::infinity();
+  /// Cross-replica checkpoint written at every level entry (nullptr: none).
+  Checkpoint* export_to = nullptr;
+  /// Resume from this checkpoint of a run over the same DistGraph and
+  /// sharing shape instead of seeding (nullptr: fresh run).
+  const Checkpoint* resume_from = nullptr;
+};
+
+/// The fields every driven run reports (WaveResult, ProgramResult).
+struct RunResult : faults::LevelLoopResult {
+  /// Graph epoch the run served (RunOptions::epoch; 0 for static graphs).
+  std::uint64_t epoch = 0;
+  bool aborted = false;  ///< hit RunOptions::abort_at_ns before finishing
+  double abort_ns = 0;   ///< virtual time the abort was observed
 };
 
 /// The state the driver's exchange moves: a replicated frontier (one copy
@@ -178,11 +200,9 @@ struct DriverSpec {
   FrontierSlabs* slabs = nullptr;   ///< what the exchange moves
   std::uint64_t n = 0;              ///< graph vertices (direction model)
   const char* exchange_event = "";  ///< trace instant of each exchange
-  /// Replica-outage horizon: past it the loop stops (see WaveOptions).
+  /// Replica-outage horizon: past it the loop stops (see RunOptions).
   double abort_at_ns = std::numeric_limits<double>::infinity();
   LevelPosition* export_to = nullptr;  ///< export destination, or nullptr
-  int export_every = 1;
-  std::uint64_t epoch = 0;
 };
 
 /// One rank's level driver.
@@ -241,10 +261,9 @@ class LevelDriver {
 };
 
 /// Copy the loop fields every engine result carries.
-template <class Result>
-void fill_loop_result(Result& out, const LoopRecord& rec,
-                      const faults::LevelRecovery& recovery,
-                      const sim::RunProfile& prof) {
+inline void fill_loop_result(RunResult& out, const LoopRecord& rec,
+                             const faults::LevelRecovery& recovery,
+                             const sim::RunProfile& prof) {
   out.tally(rec.directions, recovery, prof);
   out.aborted = rec.aborted;
   out.abort_ns = rec.abort_ns;

@@ -42,7 +42,6 @@
 /// exchange time.
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -98,13 +97,10 @@ struct LaneResult {
   std::uint64_t visited = 0;  ///< vertices the lane discovered (incl. source)
 };
 
-/// Result of one batched wave.
-struct WaveResult : faults::LevelLoopResult {
-  /// Graph epoch the wave served (WaveOptions::epoch; 0 for static graphs).
-  std::uint64_t epoch = 0;
+/// Result of one batched wave. `aborted` means the wave hit
+/// WaveOptions::abort_at_ns before draining.
+struct WaveResult : RunResult {
   double wave_ns = 0;  ///< virtual wall time of the wave (max over ranks)
-  bool aborted = false;  ///< hit WaveOptions::abort_at_ns before draining
-  double abort_ns = 0;   ///< virtual time the abort was observed
   std::uint64_t unfinished = 0;  ///< lanes still active at the abort
   std::vector<LaneResult> lanes;  ///< one per submitted query
 };
@@ -114,7 +110,7 @@ struct WaveResult : faults::LevelLoopResult {
 /// of the replicated serving tier. Exported at level boundaries (an "epoch")
 /// strictly before any scheduled death of that level, so a valid checkpoint
 /// always describes a consistent pre-crash state. The position (validity,
-/// graph epoch, level, kernel choice) is the level driver's.
+/// level, kernel choice) is the level driver's.
 struct WaveCheckpoint : LevelPosition {
   std::uint64_t active = 0;  ///< lanes alive at the epoch
   std::vector<std::vector<std::uint64_t>> seen;     ///< per partition
@@ -124,27 +120,10 @@ struct WaveCheckpoint : LevelPosition {
   std::vector<std::uint64_t> frontier;  ///< one replicated-frontier copy
 };
 
-/// Knobs of run_wave. The defaults run a plain wave: no horizon, no
-/// export, fresh start.
-struct WaveOptions {
-  /// Graph epoch the wave serves (dynamic graph layer): stamped into the
-  /// WaveResult and every exported checkpoint. Purely a label at this
-  /// layer — the caller passes the matching pinned DistGraph view.
-  std::uint64_t epoch = 0;
-  /// Virtual time at which this replica stops making progress (its outage
-  /// instant). The wave aborts at the first clock-aligned point at or past
-  /// it: lanes retired strictly before keep their results, the rest are
-  /// reported in WaveResult::unfinished for failover.
-  double abort_at_ns = std::numeric_limits<double>::infinity();
-  /// Epoch stride of cross-replica checkpoint export (levels); only used
-  /// when `export_to` is set.
-  int export_every = 1;
-  /// Destination of the epoch exports (nullptr: no export).
-  WaveCheckpoint* export_to = nullptr;
-  /// Resume from this checkpoint instead of seeding the sources (nullptr:
-  /// fresh wave). The checkpoint must come from a wave over the same
-  /// DistGraph, batch and sharing shape.
-  const WaveCheckpoint* resume_from = nullptr;
+/// Knobs of run_wave. At an abort, lanes retired strictly before it keep
+/// their results and the rest are reported in WaveResult::unfinished for
+/// failover. A resume checkpoint must come from a wave over the same batch.
+struct WaveOptions : RunOptions<WaveCheckpoint> {
   /// Lanes to resume (subset of the checkpoint's `active`); 0 means all of
   /// them. Lanes the original wave retired after the exported epoch are
   /// masked out here so the resumed wave does not redo them.

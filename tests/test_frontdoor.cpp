@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -220,9 +221,13 @@ TEST(FrontDoorServe, DegradedReachAndKhopMatchReference) {
   qs.push_back(make_query(id++, QueryKind::full_distances, root, 0.0));
   qs.push_back(make_query(id++, QueryKind::k_hop, root, late, 0, 2));
   qs.push_back(make_query(id++, QueryKind::st_reachability, root, late, inside));
-  if (outside != graph::kNoVertex)
+  if (outside != graph::kNoVertex) {
     qs.push_back(
         make_query(id++, QueryKind::st_reachability, root, late, outside));
+    // Unlabeled source, labeled target: answered from the target's label.
+    qs.push_back(
+        make_query(id++, QueryKind::st_reachability, outside, late, root));
+  }
   // Uncached source: must shed, never guess.
   qs.push_back(make_query(id++, QueryKind::k_hop, other, late, 0, 2));
   const FrontDoorReport rep = door.serve(qs);
@@ -243,9 +248,11 @@ TEST(FrontDoorServe, DegradedReachAndKhopMatchReference) {
 
   std::size_t next = 3;
   if (outside != graph::kNoVertex) {
-    ASSERT_EQ(rep.results[next].outcome, Outcome::degraded);
-    EXPECT_FALSE(rep.results[next].reached);
-    ++next;
+    for (const std::size_t i : {next, next + 1}) {
+      ASSERT_EQ(rep.results[i].outcome, Outcome::degraded) << i;
+      EXPECT_FALSE(rep.results[i].reached) << i;
+    }
+    next += 2;
   }
   // The uncached k-hop source has no exact answer: shed, counted as missed.
   EXPECT_EQ(rep.results[next].outcome, Outcome::shed);
@@ -290,7 +297,8 @@ TEST(FrontDoorServe, FullDistanceIsNeverShed) {
 /// `outage_ns`, validating every finished lane against the reference BFS.
 FrontDoorReport failover_run(const GraphBundle& b, Experiment& ex0,
                              Experiment& ex1, double outage_ns,
-                             std::map<graph::Vertex, graph::BfsTree>& ref) {
+                             std::map<graph::Vertex, graph::BfsTree>& ref,
+                             bool trivial_last = false) {
   attach_plan(ex0.cluster(),
               "seed:3,outage:at=" + std::to_string(outage_ns));
   ex1.cluster().set_fault_injector(nullptr);
@@ -321,6 +329,8 @@ FrontDoorReport failover_run(const GraphBundle& b, Experiment& ex0,
     qs.push_back(make_query(i, QueryKind::full_distances,
                             b.roots[static_cast<std::size_t>(i) % b.roots.size()],
                             0.0));
+  // A 0-hop lane retires at seeding, before the wave's first level.
+  if (trivial_last) qs.back().kind = QueryKind::k_hop;
   return door.serve(qs);
 }
 
@@ -382,6 +392,40 @@ TEST(FrontDoorServe, FailoverIsBitDeterministic) {
   }
 }
 
+TEST(FrontDoorServe, OutageBeforeFirstExportReRunsTheWaveFromScratch) {
+  // Replica 0 dies before the wave's first level, so no epoch was ever
+  // exported: the failover unit re-runs its unfinished lanes from scratch
+  // on the survivor, with the clean run's answers, and replays
+  // bit-identically. The trivial last lane retired at seeding, before the
+  // abort: it stays served on replica 0 and is not re-run.
+  const GraphBundle b = GraphBundle::make(10, 16, 7, 16);
+  Experiment ex0(b, shape(2, 2)), ex1(b, shape(2, 2));
+  std::map<graph::Vertex, graph::BfsTree> ref;
+  const FrontDoorReport clean = failover_run(b, ex0, ex1, 1e30, ref, true);
+  ASSERT_EQ(clean.failovers, 0);
+
+  const FrontDoorReport r1 = failover_run(b, ex0, ex1, 1.0, ref, true);
+  EXPECT_EQ(r1.failovers, 1);
+  EXPECT_EQ(r1.replicas_lost, 1);
+  EXPECT_EQ(r1.shed, 0);
+  const std::size_t last = r1.results.size() - 1;
+  for (std::size_t i = 0; i < r1.results.size(); ++i) {
+    EXPECT_EQ(r1.results[i].outcome,
+              i == last ? Outcome::served : Outcome::failed_over)
+        << i;
+    EXPECT_EQ(r1.results[i].replica, i == last ? 0 : 1) << i;
+    EXPECT_EQ(r1.results[i].visited, clean.results[i].visited) << i;
+    EXPECT_EQ(r1.results[i].complete_level, clean.results[i].complete_level)
+        << i;
+  }
+
+  const FrontDoorReport r2 = failover_run(b, ex0, ex1, 1.0, ref, true);
+  EXPECT_EQ(r1.total_ns, r2.total_ns);
+  EXPECT_EQ(r1.failover_blip_ns, r2.failover_blip_ns);
+  for (std::size_t i = 0; i < r1.results.size(); ++i)
+    EXPECT_EQ(r1.results[i].complete_ns, r2.results[i].complete_ns) << i;
+}
+
 TEST(FrontDoorServe, AllReplicasDownMarksRemainderLost) {
   const GraphBundle b = GraphBundle::make(10, 16, 4, 16);
   Experiment ex(b, shape(2, 2));
@@ -399,6 +443,55 @@ TEST(FrontDoorServe, AllReplicasDownMarksRemainderLost) {
   }
   EXPECT_DOUBLE_EQ(rep.shed_rate, 1.0);
   EXPECT_EQ(rep.replicas_lost, 1);
+}
+
+TEST(FrontDoorServe, FailoverUnitWithNoSurvivorIsLost) {
+  // The only replica dies mid-wave, after the wave's 1-hop lanes retired:
+  // those keep their answers, and the failover unit's unfinished lanes, with
+  // no healthy replica left to resume them, end lost.
+  const GraphBundle b = GraphBundle::make(10, 16, 7, 16);
+  Experiment ex(b, shape(2, 2));
+  std::vector<Query> qs;
+  for (int i = 0; i < 8; ++i)
+    qs.push_back(make_query(
+        i, i < 2 ? QueryKind::k_hop : QueryKind::full_distances,
+        b.roots[static_cast<std::size_t>(i) % b.roots.size()], 0.0, 0, 1));
+  const auto serve = [&](double outage_ns) {
+    attach_plan(ex.cluster(), "seed:3,outage:at=" + std::to_string(outage_ns));
+    FrontDoorConfig fdc;
+    fdc.max_batch = 8;
+    FrontDoor door(bfs::share_all(), fdc, {{&ex.cluster(), &ex.dist()}});
+    return door.serve(qs);
+  };
+
+  // Place the outage between the last 1-hop and the first full-distance
+  // completion of a clean run.
+  const FrontDoorReport clean = serve(1e30);
+  ASSERT_EQ(clean.waves, 1);
+  double khop_done = 0;
+  double full_done = kInf;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    const double t = clean.results[i].complete_ns;
+    if (i < 2) khop_done = std::max(khop_done, t);
+    else full_done = std::min(full_done, t);
+  }
+  ASSERT_LT(khop_done, full_done);
+
+  const FrontDoorReport rep = serve(0.5 * (khop_done + full_done));
+  EXPECT_EQ(rep.failovers, 0);
+  EXPECT_EQ(rep.replicas_lost, 1);
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    const ServedQuery& r = rep.results[i];
+    if (i < 2) {
+      ASSERT_EQ(r.outcome, Outcome::served) << i;
+      EXPECT_EQ(r.visited, clean.results[i].visited) << i;
+      EXPECT_EQ(r.complete_ns, clean.results[i].complete_ns) << i;
+    } else {
+      EXPECT_EQ(r.outcome, Outcome::lost) << i;
+      EXPECT_TRUE(std::isnan(r.complete_ns)) << i;
+    }
+  }
+  EXPECT_EQ(rep.shed, 6);
 }
 
 // ---------------------------------------------------------------------------
@@ -523,49 +616,77 @@ TEST(FrontDoorServe, AnalyticsIsBackgroundNeverShedAndExact) {
   EXPECT_GT(rep.shed + rep.degraded, 0);
 }
 
+/// Serve one components query with replica 0 dying at `outage_ns`.
+FrontDoorReport analytics_failover_run(Experiment& ex0, Experiment& ex1,
+                                       double outage_ns) {
+  attach_plan(ex0.cluster(), "seed:3,outage:at=" + std::to_string(outage_ns));
+  ex1.cluster().set_fault_injector(nullptr);
+  FrontDoor door(bfs::share_all(), FrontDoorConfig{},
+                 {{&ex0.cluster(), &ex0.dist()}, {&ex1.cluster(), &ex1.dist()}});
+  std::vector<Query> qs;
+  qs.push_back(make_query(0, QueryKind::components, 0, 0.0));
+  return door.serve(qs);
+}
+
+double component_count(const GraphBundle& b) {
+  const auto comp_ref = graph::ref_components(b.csr);
+  std::uint64_t ncomp = 0;
+  for (std::size_t v = 0; v < comp_ref.size(); ++v) ncomp += comp_ref[v] == v;
+  return static_cast<double>(ncomp);
+}
+
 TEST(FrontDoorServe, AnalyticsFailsOverMidProgramAndStaysExact) {
   const GraphBundle b = GraphBundle::make(10, 16, 7, 16);
   Experiment ex0(b, shape(2, 2)), ex1(b, shape(2, 2));
 
-  const auto run = [&](double outage_ns) {
-    attach_plan(ex0.cluster(), "seed:3,outage:at=" + std::to_string(outage_ns));
-    ex1.cluster().set_fault_injector(nullptr);
-    FrontDoorConfig fdc;
-    FrontDoor door(
-        bfs::share_all(), fdc,
-        {{&ex0.cluster(), &ex0.dist()}, {&ex1.cluster(), &ex1.dist()}});
-    std::vector<Query> qs;
-    qs.push_back(make_query(0, QueryKind::components, 0, 0.0));
-    return door.serve(qs);
-  };
-
   // Clean run (outage far in the future) to place the mid-program outage
   // and pin the ground-truth answer.
-  const FrontDoorReport clean = run(1e30);
+  const FrontDoorReport clean = analytics_failover_run(ex0, ex1, 1e30);
   ASSERT_EQ(clean.failovers, 0);
   ASSERT_EQ(clean.results[0].outcome, Outcome::served);
-  const auto comp_ref = graph::ref_components(b.csr);
-  std::uint64_t ncomp = 0;
-  for (std::size_t v = 0; v < comp_ref.size(); ++v) ncomp += comp_ref[v] == v;
-  ASSERT_EQ(clean.results[0].value, static_cast<double>(ncomp));
+  const double ncomp = component_count(b);
+  ASSERT_EQ(clean.results[0].value, ncomp);
 
   const double outage = 0.5 * clean.results[0].complete_ns;
-  const FrontDoorReport r1 = run(outage);
+  const FrontDoorReport r1 = analytics_failover_run(ex0, ex1, outage);
   EXPECT_GE(r1.failovers, 1);
   EXPECT_EQ(r1.replicas_lost, 1);
   EXPECT_GT(r1.failover_blip_ns, 0.0);
   ASSERT_EQ(r1.results[0].outcome, Outcome::failed_over);
   EXPECT_EQ(r1.results[0].replica, 1);  // completed on the survivor
-  EXPECT_EQ(r1.results[0].value, static_cast<double>(ncomp));
+  EXPECT_EQ(r1.results[0].value, ncomp);
   // The blip costs virtual time, never the answer.
   EXPECT_GT(r1.results[0].complete_ns, clean.results[0].complete_ns);
 
   // Bit-deterministic, like everything else in the tier.
-  const FrontDoorReport r2 = run(outage);
+  const FrontDoorReport r2 = analytics_failover_run(ex0, ex1, outage);
   EXPECT_EQ(r1.total_ns, r2.total_ns);
   EXPECT_EQ(r1.failover_blip_ns, r2.failover_blip_ns);
   EXPECT_EQ(r1.results[0].complete_ns, r2.results[0].complete_ns);
   EXPECT_EQ(r1.results[0].value, r2.results[0].value);
+}
+
+TEST(FrontDoorServe, AnalyticsOutageBeforeFirstExportReRunsFromScratch) {
+  // Replica 0 dies before the program's first level: nothing was exported,
+  // so the query re-runs from scratch on the survivor, to the clean answer
+  // and the clean level count, and replays bit-identically.
+  const GraphBundle b = GraphBundle::make(10, 16, 7, 16);
+  Experiment ex0(b, shape(2, 2)), ex1(b, shape(2, 2));
+  const FrontDoorReport clean = analytics_failover_run(ex0, ex1, 1e30);
+  ASSERT_EQ(clean.results[0].outcome, Outcome::served);
+
+  const FrontDoorReport r1 = analytics_failover_run(ex0, ex1, 1.0);
+  EXPECT_EQ(r1.failovers, 1);
+  EXPECT_EQ(r1.replicas_lost, 1);
+  ASSERT_EQ(r1.results[0].outcome, Outcome::failed_over);
+  EXPECT_EQ(r1.results[0].replica, 1);
+  EXPECT_EQ(r1.results[0].value, component_count(b));
+  EXPECT_EQ(r1.results[0].complete_level, clean.results[0].complete_level);
+
+  const FrontDoorReport r2 = analytics_failover_run(ex0, ex1, 1.0);
+  EXPECT_EQ(r1.total_ns, r2.total_ns);
+  EXPECT_EQ(r1.failover_blip_ns, r2.failover_blip_ns);
+  EXPECT_EQ(r1.results[0].complete_ns, r2.results[0].complete_ns);
 }
 
 }  // namespace

@@ -254,6 +254,54 @@ TEST(MsBfs, WaveSurvivesRankCrashWithCorrectLanes) {
   expect_lanes_match_reference(ex, ws, qs);
 }
 
+TEST(MsBfs, CrashRecoveryIsTransparentToEveryLane) {
+  // A recovered crash rolls the survivors' seen words back to the level
+  // boundary and re-runs the level, so the wave closes every level as the
+  // crash-free wave does: the same kernels, the same lane retirements and
+  // the same per-lane distances and parents, whichever level the crash hits.
+  const GraphBundle b = GraphBundle::make(10, 16, 6, 16);
+  Experiment ex(b, shape(2, 2));
+  auto qs = full_wave(b, 6);
+  qs[4].kind = QueryKind::k_hop;
+  qs[4].k = 3;
+  qs[5].kind = QueryKind::st_reachability;
+  qs[5].target = b.roots[0];
+  WaveState ws(ex.dist(), bfs::original(), 2, 2);
+
+  const WaveResult clean = run_wave(ex.cluster(), ex.dist(), ws, qs);
+  std::vector<std::vector<Dist>> dist;
+  std::vector<std::vector<graph::Vertex>> parent;
+  for (int l = 0; l < static_cast<int>(qs.size()); ++l) {
+    dist.push_back(gather_lane_distances(ex.dist(), ws, l));
+    parent.push_back(gather_lane_parents(ex.dist(), ws, l));
+  }
+
+  for (const int rank : {1, 2}) {
+    for (int level = 0; level < clean.levels; ++level) {
+      const std::string plan = "seed:1,crash:rank=" + std::to_string(rank) +
+                               "@level=" + std::to_string(level);
+      ex.cluster().set_fault_injector(std::make_shared<faults::FaultInjector>(
+          faults::FaultPlan::parse(plan), ex.cluster().nranks(),
+          ex.cluster().ppn()));
+      const WaveResult wr = run_wave(ex.cluster(), ex.dist(), ws, qs);
+      ASSERT_EQ(wr.recoveries, 1) << plan;
+      EXPECT_EQ(wr.levels, clean.levels) << plan;
+      EXPECT_EQ(wr.td_levels, clean.td_levels) << plan;
+      for (std::size_t l = 0; l < qs.size(); ++l) {
+        EXPECT_TRUE(wr.lanes[l].finished) << plan << " lane " << l;
+        EXPECT_EQ(wr.lanes[l].complete_level, clean.lanes[l].complete_level)
+            << plan << " lane " << l;
+        EXPECT_EQ(wr.lanes[l].reached, clean.lanes[l].reached) << plan;
+        EXPECT_EQ(wr.lanes[l].visited, clean.lanes[l].visited) << plan;
+        const int li = static_cast<int>(l);
+        EXPECT_EQ(gather_lane_distances(ex.dist(), ws, li), dist[l]) << plan;
+        EXPECT_EQ(gather_lane_parents(ex.dist(), ws, li), parent[l]) << plan;
+      }
+    }
+  }
+  ex.cluster().set_fault_injector(nullptr);
+}
+
 TEST(MsBfs, AbortAfterRecorderCrashIsReported) {
   // Rank 0 records the wave's shared results. When it crashes, the level
   // re-runs and the abort horizon may fall at the re-run's entry: the new
@@ -280,30 +328,27 @@ TEST(MsBfs, AbortAfterRecorderCrashIsReported) {
   }
 }
 
-TEST(MsBfs, ExportStrideSkipsLevelsAndResumes) {
-  // export_every = k exports at the entry of levels 1, 1+k, 1+2k, ...; a
-  // resume from the last such epoch finishes the lanes live there, and
+TEST(MsBfs, ExportsEveryLevelAndResumesFromTheLast) {
+  // The export runs at the entry of every level, so the last epoch sits at
+  // the final level; a resume from it finishes the lanes live there, and
   // every lane's distances and tree still match the reference.
   const GraphBundle b = GraphBundle::make(10, 16, 6, 16);
   Experiment ex(b, shape(2, 2));
   const auto qs = full_wave(b, 8);
   WaveState ws(ex.dist(), bfs::original(), 2, 2);
-  for (const int stride : {1, 2, 3}) {
-    WaveCheckpoint ck;
-    WaveOptions o;
-    o.export_to = &ck;
-    o.export_every = stride;
-    const WaveResult wr = run_wave(ex.cluster(), ex.dist(), ws, qs, o);
-    ASSERT_TRUE(ck.valid);
-    EXPECT_EQ(ck.level, wr.levels - (wr.levels - 1) % stride) << stride;
+  WaveCheckpoint ck;
+  WaveOptions o;
+  o.export_to = &ck;
+  const WaveResult wr = run_wave(ex.cluster(), ex.dist(), ws, qs, o);
+  ASSERT_TRUE(ck.valid);
+  EXPECT_EQ(ck.level, wr.levels);
 
-    WaveOptions r;
-    r.resume_from = &ck;
-    const WaveResult resumed = run_wave(ex.cluster(), ex.dist(), ws, qs, r);
-    for (std::size_t l = 0; l < qs.size(); ++l)  // lanes live at the epoch
-      EXPECT_EQ(resumed.lanes[l].finished, (ck.active >> l & 1) != 0) << l;
-    expect_lanes_match_reference(ex, ws, qs);
-  }
+  WaveOptions r;
+  r.resume_from = &ck;
+  const WaveResult resumed = run_wave(ex.cluster(), ex.dist(), ws, qs, r);
+  for (std::size_t l = 0; l < qs.size(); ++l)  // lanes live at the epoch
+    EXPECT_EQ(resumed.lanes[l].finished, (ck.active >> l & 1) != 0) << l;
+  expect_lanes_match_reference(ex, ws, qs);
 }
 
 TEST(MsBfs, CrashWithCheckpointingOffIsRejected) {

@@ -114,15 +114,17 @@ TEST(ConfigValidation, Bfs2dAndServingConfigs) {
   ec.max_batch = engine::kMaxLanes + 1;
   EXPECT_FALSE(ec.validate().empty());
 
+  // Both serving tiers share one admission rule set, message for message.
   engine::FrontDoorConfig fdc;
-  fdc.export_every = 0;
-  EXPECT_FALSE(fdc.validate().empty());
-  fdc.export_every = 1;
-  fdc.est_window = 0;
-  EXPECT_FALSE(fdc.validate().empty());
-  fdc.est_window = 8;
-  fdc.hb_period_ns = 0;
-  EXPECT_FALSE(fdc.validate().empty());
+  EXPECT_TRUE(fdc.validate().empty());
+  fdc.max_batch = engine::kMaxLanes + 1;
+  EXPECT_EQ(fdc.validate(), ec.validate());
+  fdc.max_batch = 8;
+  fdc.queue_depth = 0;
+  ec.max_batch = 8;
+  ec.queue_depth = 0;
+  EXPECT_EQ(fdc.validate(), "queue_depth must be >= 1");
+  EXPECT_EQ(ec.validate(), fdc.validate());
 }
 
 TEST(ConfigValidation, DriversRejectInvalidConfigsUpFront) {

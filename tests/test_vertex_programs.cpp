@@ -237,6 +237,35 @@ TEST(VertexPrograms, ComponentsSurviveCrashAndDropBitIdentically) {
                                     bfs::share_all());
 }
 
+TEST(VertexPrograms, CrashRecoveryIsTransparentToMinRelaxation) {
+  // A recovered crash restores every survivor's val_out to the level
+  // boundary and re-runs the level, so SSSP and components close the same
+  // levels with the same kernels and reduced statistics as the crash-free
+  // run, and land bit-identical values, whichever level the crash hits.
+  const GraphBundle b = GraphBundle::make(10, 16, 3, 2);
+  const ProgramQuery q{b.roots[0], b.roots[1]};
+  for (const ProgramWorkload w :
+       {ProgramWorkload::sssp, ProgramWorkload::components}) {
+    Experiment ex(b, shape(2, 2));
+    const ProgRun want = run_prog(ex, w, q, bfs::original(), 2, 2);
+    ASSERT_TRUE(want.res.converged);
+    for (const int rank : {1, 2}) {
+      for (int level = 0; level < want.res.levels; ++level) {
+        const std::string plan = "seed:1,crash:rank=" + std::to_string(rank) +
+                                 "@level=" + std::to_string(level);
+        ex.cluster().set_fault_injector(injector(ex.cluster(), plan));
+        const ProgRun got = run_prog(ex, w, q, bfs::original(), 2, 2);
+        const std::string where = std::string(to_string(w)) + " " + plan;
+        ASSERT_EQ(got.res.recoveries, 1) << where;
+        EXPECT_EQ(got.res.levels, want.res.levels) << where;
+        EXPECT_EQ(got.res.td_levels, want.res.td_levels) << where;
+        EXPECT_EQ(got.res.last.changed, want.res.last.changed) << where;
+        EXPECT_EQ(got.values, want.values) << where;
+      }
+    }
+  }
+}
+
 TEST(VertexPrograms, CrashWithCheckpointingOffIsRejected) {
   const GraphBundle b = GraphBundle::make(9, 16, 1, 2);
   Experiment ex(b, shape(2, 2));
