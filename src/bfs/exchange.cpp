@@ -27,6 +27,23 @@ std::pair<std::uint64_t, std::uint64_t> summary_range(const DistState& st,
 
 }  // namespace
 
+void stretch_degraded(const rt::Proc& p, cm::CollTimes& t) {
+  const faults::FaultInjector* inj = p.cluster->injector();
+  if (inj == nullptr) return;
+  const double lf = inj->min_link_factor(p.clock.now_ns());
+  t.total_ns += t.inter_ns * (1.0 / lf - 1.0);
+  t.inter_ns /= lf;
+}
+
+double overlap_decode(rt::Proc& p, double wire_ns, double decode_ns,
+                      int chunks, double split_ns) {
+  const double seq_ns = wire_ns + decode_ns;
+  const double total_ns = cm::pipelined2_ns(wire_ns, decode_ns, chunks) +
+                          split_ns;
+  p.prof.add_overlap_saved(seq_ns - total_ns);
+  return total_ns;
+}
+
 void decode_bitmap_checked(std::span<const std::uint8_t> in,
                            std::span<std::uint64_t> words, const char* what,
                            int src_rank) {
@@ -235,9 +252,7 @@ SparseExchangeStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
                                      (nb + 7) / 8));
   };
   if (coded) {
-    encode_part(p.rank);
-    for (int q : parts)
-      if (q != p.rank) encode_part(q);
+    for_owned_parts(p, parts, encode_part);
     const std::uint64_t enc_sum =
         rt::allreduce_sum(p, world, my_enc, sim::Phase::stall);
     const std::uint64_t raw_sum =
@@ -261,9 +276,7 @@ SparseExchangeStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
     world.publish_ptr(q, buf.data());
     world.publish_val(q, buf.size());
   };
-  publish_part(p.rank);
-  for (int q : parts)
-    if (q != p.rank) publish_part(q);
+  for_owned_parts(p, parts, publish_part);
   p.barrier(world, sim::Phase::stall);  // lists ready
 
   auto& frontier = st.frontier(p.rank);
@@ -321,11 +334,10 @@ SparseExchangeStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
           c.link().shm_flow_bw(1);
   p.charge(phase, t);
 
-  if (wipe_out) {
-    clear_out_bits(p, dg, st, u, sim::Phase::switch_conv);
-    for (int q : parts)
-      if (q != p.rank) clear_out_bits(p, dg, st, u, sim::Phase::switch_conv, q);
-  }
+  if (wipe_out)
+    for_owned_parts(p, parts, [&](int q) {
+      clear_out_bits(p, dg, st, u, sim::Phase::switch_conv, q);
+    });
   p.barrier(world, phase);
   return stats;
 }
@@ -360,12 +372,6 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
   const int K = std::max(1, cfg.exchange_chunks);
   const double per_chunk_ns = c.params().chunk_split_overhead_ns;
 
-  const auto for_owned_parts = [&](auto&& f) {
-    f(p.rank);
-    for (int q : parts)
-      if (q != p.rank) f(q);
-  };
-
   // --- per-level codec gate (DESIGN.md §10) -----------------------------
   // Every rank computes the same decision from allreduced measured sparsity
   // and rank-uniform unit costs — the same SPMD-deterministic pattern as
@@ -375,7 +381,7 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
   // 1-D out_queue chunks and the plan's modeled duration, so the gate
   // optimizes the quantity that is charged.
   std::vector<GateChunk> gate_chunks;
-  for_owned_parts([&](int q) {
+  for_owned_parts(p, parts, [&](int q) {
     GateChunk ch;
     ch.words = st.out_queue(q).words().subspan(
         static_cast<std::uint64_t>(q) * block_words, block_words);
@@ -390,7 +396,6 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
       [&](std::uint64_t b) { return plan.times(c, b).total_ns; },
       per_chunk_ns);
   const codec::Kind kind = gate.kind;
-  const double enc_ns = gate.encode_ns;
   const std::uint64_t wire_chunk = gate.wire_chunk_bytes;
 
   // --- data-plumbing helpers (real movement; time is modeled below) -----
@@ -462,61 +467,37 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
     }
   }
 
-  if (inj != nullptr) {
-    // Degraded fabric stretches the inter-node stages of both allgathers.
-    const double lf = inj->min_link_factor(p.clock.now_ns());
-    qt.total_ns += qt.inter_ns * (1.0 / lf - 1.0);
-    ss.total_ns += ss.inter_ns * (1.0 / lf - 1.0);
-    qt.inter_ns /= lf;
-    ss.inter_ns /= lf;
-  }
+  // A degraded fabric stretches the inter-node stages of both allgathers.
+  stretch_degraded(p, qt);
+  stretch_degraded(p, ss);
   double total_ns = qt.total_ns + ss.total_ns;
-  double dec_ns = 0.0;
-  double overlap_saved = 0.0;
-  if (kind != codec::Kind::raw) {
-    // Chunk-pipelined overlap: the decode of wire chunk i proceeds while
-    // chunk i+1 is in flight (K chunks; K=1 degrades to sequential), minus
-    // the per-split message overhead the extra chunks cost.
-    dec_ns = u.stream_pass_ns(assemble_chunks * block_words);
-    const double seq_ns = total_ns + dec_ns;
-    total_ns = cm::pipelined2_ns(total_ns, dec_ns, K) +
-               static_cast<double>(K - 1) * per_chunk_ns;
-    overlap_saved = seq_ns - total_ns;
-    p.prof.add_overlap_saved(overlap_saved);
-  }
+  if (kind != codec::Kind::raw)
+    total_ns = overlap_decode(p, total_ns,
+                              u.stream_pass_ns(assemble_chunks * block_words),
+                              K, static_cast<double>(K - 1) * per_chunk_ns);
   p.charge(phase, total_ns);
   p.barrier(world, phase);  // the collective completes together
 
-  for_owned_parts([&](int q) { clear_out_bits(p, dg, st, u, phase, q); });
+  for_owned_parts(p, parts,
+                  [&](int q) { clear_out_bits(p, dg, st, u, phase, q); });
   p.barrier(world, sim::Phase::stall);  // wipes land before the next level
 
-  ExchangeTimes ex;
-  ex.gather_ns = qt.gather_ns + ss.gather_ns;
-  ex.inter_ns = qt.inter_ns + ss.inter_ns;
-  ex.bcast_ns = qt.bcast_ns + ss.bcast_ns;
-  ex.intra_overlapped_ns = qt.intra_overlapped_ns + ss.intra_overlapped_ns;
-  ex.total_ns = total_ns;  // includes any link-degradation stretch
-  ex.codec = kind;
-  ex.encode_ns = enc_ns;
-  ex.decode_ns = dec_ns;
-  ex.overlap_saved_ns = overlap_saved;
-  ex.chunk_raw_bytes = qchunk_bytes;
-  ex.chunk_wire_bytes = wire_chunk;
-  return ex;
+  return {total_ns, kind, qchunk_bytes, wire_chunk};
 }
 
-ExchangeLevelStats OneDExchange::exchange(rt::Proc& p, int cur_dir,
-                                          int next_dir,
-                                          std::span<const int> parts) {
+ExchangeLevelStats exchange_level(rt::Proc& p, const graph::DistGraph& dg,
+                                  DistState& st, const UnitCosts& u,
+                                  int cur_dir, int next_dir,
+                                  std::span<const int> parts) {
   ExchangeLevelStats s;
   if (next_dir == 1) {
     // Next level searches bottom-up: it needs the in_queue bitmap. A
     // top-down level only produced a sparse list — materialize it
     // ("Switch" in Fig. 11), then run the two allgathers of Fig. 1.
     if (cur_dir == 0)
-      for (int q : parts) discovered_to_out_bits(p, st_, u_, q);
+      for (int q : parts) discovered_to_out_bits(p, st, u, q);
     const ExchangeTimes ex =
-        exchange_frontier(p, dg_, st_, u_, sim::Phase::bu_comm, parts);
+        exchange_frontier(p, dg, st, u, sim::Phase::bu_comm, parts);
     s.codec = ex.codec;
     s.wire_bytes = ex.chunk_wire_bytes;
     s.raw_bytes = ex.chunk_raw_bytes;
@@ -525,7 +506,7 @@ ExchangeLevelStats OneDExchange::exchange(rt::Proc& p, int cur_dir,
     // Next level is top-down: the sparse list exchange suffices; when
     // leaving bottom-up, the stale out bitmaps are wiped on the way.
     const SparseExchangeStats sx =
-        exchange_sparse(p, dg_, st_, u_, sim::Phase::td_comm,
+        exchange_sparse(p, dg, st, u, sim::Phase::td_comm,
                         /*wipe_out=*/cur_dir == 1, parts);
     s.codec = sx.coded ? codec::Kind::sparse_list : codec::Kind::raw;
     s.wire_bytes = sx.wire_bytes;

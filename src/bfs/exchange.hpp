@@ -61,19 +61,11 @@ struct AllgatherPlan {
 AllgatherPlan select_allgather_plan(const rt::Cluster& c, const Config& cfg,
                                     bool degraded);
 
-/// Breakdown of the modeled exchange duration (for Figs. 6/12/13), plus the
-/// codec outcome when Config::codec is active (DESIGN.md §10).
+/// Outcome of one bitmap exchange: its modeled duration and the codec's
+/// pick (DESIGN.md §10).
 struct ExchangeTimes {
-  double gather_ns = 0;
-  double inter_ns = 0;
-  double bcast_ns = 0;
-  double intra_overlapped_ns = 0;
-  double total_ns = 0;
-
+  double total_ns = 0;  ///< includes any link-degradation stretch
   graph::codec::Kind codec = graph::codec::Kind::raw;  ///< gate's pick
-  double encode_ns = 0;         ///< modeled codec encode cost (this rank)
-  double decode_ns = 0;         ///< modeled codec decode cost
-  double overlap_saved_ns = 0;  ///< wire/decode pipelining gain
   std::uint64_t chunk_raw_bytes = 0;   ///< per-rank raw contribution
   std::uint64_t chunk_wire_bytes = 0;  ///< what actually rides the wire
 };
@@ -169,8 +161,6 @@ void decode_bitmap_checked(std::span<const std::uint8_t> in,
                            std::span<std::uint64_t> words, const char* what,
                            int src_rank);
 
-// --- unified frontier-exchange interface (DESIGN.md §13) -----------------
-
 /// What one frontier exchange moved, uniformly across decompositions.
 struct ExchangeLevelStats {
   graph::codec::Kind codec = graph::codec::Kind::raw;
@@ -179,36 +169,35 @@ struct ExchangeLevelStats {
   bool bitmap = false;           ///< bitmap family (vs sparse-list family)
 };
 
-/// The communication step between two BFS levels, behind which both the
-/// 1-D hybrid and the 2-D grid decomposition sit: rebuild the next level's
-/// frontier inputs from the per-rank outputs of the level just finished.
-/// SPMD — every live rank calls exchange() with the same (cur, next)
-/// directions (0 = top-down, 1 = bottom-up); `parts` lists the caller's
-/// partitions (own plus adopted). Implementations route every leg through
-/// the shared codec gate and K-chunk wire/decode pipelining.
-class FrontierExchange {
- public:
-  virtual ~FrontierExchange() = default;
-  virtual const char* name() const = 0;
-  virtual ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
-                                      std::span<const int> parts) = 0;
-};
+/// The 1-D hybrid's exchange between a `cur_dir` and a `next_dir` level
+/// (0 = top-down, 1 = bottom-up): the sparse-list allgatherv before a
+/// top-down level, the two bitmap allgathers of Fig. 1 before a bottom-up
+/// level (materializing the discovered list into out bits on a td -> bu
+/// switch). SPMD; `parts` lists the caller's partitions.
+ExchangeLevelStats exchange_level(rt::Proc& p, const graph::DistGraph& dg,
+                                  DistState& st, const UnitCosts& u,
+                                  int cur_dir, int next_dir,
+                                  std::span<const int> parts);
 
-/// The 1-D hybrid's exchange: sparse-list allgatherv before a top-down
-/// level, the two bitmap allgathers of Fig. 1 before a bottom-up level
-/// (materializing the discovered list into out bits on a td -> bu switch).
-class OneDExchange final : public FrontierExchange {
- public:
-  OneDExchange(const graph::DistGraph& dg, DistState& st, const UnitCosts& u)
-      : dg_(dg), st_(st), u_(u) {}
-  const char* name() const override { return "1d"; }
-  ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
-                              std::span<const int> parts) override;
+// --- helpers shared by the 1-D, 2-D and engine exchanges -----------------
 
- private:
-  const graph::DistGraph& dg_;
-  DistState& st_;
-  const UnitCosts& u_;
-};
+/// Visit the caller's partitions, own rank first (the adoption order).
+template <typename F>
+void for_owned_parts(const rt::Proc& p, std::span<const int> parts, F&& f) {
+  f(p.rank);
+  for (int q : parts)
+    if (q != p.rank) f(q);
+}
+
+/// Stretch a collective's inter-node stage under the fault plan's active
+/// link-degrade window (no-op without a fault injector).
+void stretch_degraded(const rt::Proc& p, rt::coll_model::CollTimes& t);
+
+/// K-chunk wire/decode pipelining: the decode of chunk i proceeds while
+/// chunk i+1 is in flight (K = 1 is sequential). Returns the pipelined
+/// time plus `split_ns`, the extra chunks' message overhead, and books
+/// the saving against the sequential wire + decode time.
+double overlap_decode(rt::Proc& p, double wire_ns, double decode_ns,
+                      int chunks, double split_ns = 0.0);
 
 }  // namespace numabfs::bfs

@@ -1,11 +1,11 @@
 #include "bfs/hybrid.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "bfs/exchange.hpp"
 #include "bfs/kernels.hpp"
-#include "faults/recovery.hpp"
-#include "runtime/allgather.hpp"
+#include "obs/trace.hpp"
 
 namespace numabfs::bfs {
 
@@ -100,38 +100,41 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
         return owned / 8 + owned * sizeof(graph::Vertex);
       });
 
-  struct Shared {
-    std::vector<int> directions;
-    int td_ex = 0, bu_ex = 0;
-    std::uint64_t visited = 1;  // root
-    std::vector<std::uint64_t> frontier_sizes;  // per level (input frontier)
-    std::vector<std::uint64_t> discovered;      // per level
-    std::vector<int> ex_codec;  // codec of the exchange after each level
-  } shared;
-
-  // Host-side per-rank, per-level measurements (no virtual-time impact).
-  struct RankLevel {
-    std::uint64_t edges = 0, skips = 0, probes = 0;
-    std::uint64_t wire = 0, wire_raw = 0;
-    double comp_ns = 0, comm_ns = 0;
+  // Host-side per-rank, per-level measurements (no virtual-time impact):
+  // the rank's counters and phase times at the level's kernel start and at
+  // its close.
+  struct Snapshot {
+    std::uint64_t edges, skips, probes, wire, wire_raw;
+    double comp_ns, comm_ns;
   };
-  std::vector<std::vector<RankLevel>> rank_levels(
+  std::vector<std::vector<std::array<Snapshot, 2>>> rank_levels(
       static_cast<size_t>(c.nranks()));
+  std::vector<int> ex_codec;  // codec of the exchange after each level
 
-  faults::LevelRecovery recovery(c, "run_bfs", "traversal");
+  BeamerLoop loop(c, "run_bfs", cfg, dg.n);
   // Indexed by partition; ckpt[q] is written by q's current owner only, and
   // crash detection is barrier-ordered, so adoption hand-off is race-free.
   std::vector<PartCheckpoint> ckpt(
-      recovery.checkpointing() ? static_cast<size_t>(c.nranks()) : 0);
+      loop.checkpointing() ? static_cast<size_t>(c.nranks()) : 0);
 
   c.run([&](rt::Proc& p) {
     const UnitCosts& u = costs[static_cast<size_t>(p.rank)];
-    rt::Comm& world = c.world();
     const auto& lg = dg.locals[static_cast<size_t>(p.rank)];
+    const auto snapshot = [&] {
+      const auto& cnt = p.prof.counters();
+      return Snapshot{cnt.edges_scanned,
+                      cnt.summary_zero_skips,
+                      cnt.summary_probes,
+                      cnt.bytes_intra_node + cnt.bytes_inter_node,
+                      cnt.bytes_raw_equiv,
+                      p.prof.get(sim::Phase::td_comp) +
+                          p.prof.get(sim::Phase::bu_comp),
+                      p.prof.comm_ns()};
+    };
+    Snapshot at_kernel{};
 
-    OneDExchange exchanger(dg, st, u);
-    faults::LevelRecovery::Rank rec(recovery, p);
-    const auto save = [&](int q) {
+    LevelSteps s;
+    s.save = [&](int q) {
       PartCheckpoint& ck = ckpt[static_cast<size_t>(q)];
       auto vw = st.visited(q).words();
       ck.visited.assign(vw.begin(), vw.end());
@@ -141,7 +144,7 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
       p.charge(sim::Phase::other,
                costs[static_cast<size_t>(q)].stream_pass_ns(ckpt_words(st, q)));
     };
-    const auto restore = [&](int q) {
+    s.restore = [&](int q) {
       const PartCheckpoint& ck = ckpt[static_cast<size_t>(q)];
       std::memcpy(st.visited(q).words().data(), ck.visited.data(),
                   ck.visited.size() * 8);
@@ -152,191 +155,64 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
       p.charge(sim::Phase::other,
                costs[static_cast<size_t>(q)].stream_pass_ns(ckpt_words(st, q)));
     };
-
-    reset_state(p, dg, st, root, u);
-
-    const std::uint64_t n = dg.n;
-    const bool root_owned = root >= lg.vbegin && root < lg.vend;
-    std::uint64_t root_deg = root_owned ? lg.degree(root - lg.vbegin) : 0;
-    // Frontier stats of "level -1": the root alone.
-    std::uint64_t frontier_edges =
-        rt::allreduce_sum(p, world, root_deg, sim::Phase::stall);
-
-    int dir = cfg.direction == Direction::bottom_up_only ? 1 : 0;
-    // The very first level profits from knowing the root's degree.
-    if (cfg.direction == Direction::hybrid) {
-      const std::uint64_t rem = rt::allreduce_sum(
-          p, world, st.unvisited_edges(p.rank), sim::Phase::stall);
-      if (static_cast<double>(frontier_edges) >
-          static_cast<double>(rem) / cfg.alpha)
-        dir = 1;
-    }
-
-    std::uint64_t prev_nf = 1;  // the root seeds level 0's frontier
-    int level = 0;
-    for (;;) {
-      const double level_t0 = p.clock.now_ns();
-      if (rec.crash_point(level, save)) return;
-
-      const auto& cnt0 = p.prof.counters();
-      const std::uint64_t edges0 = cnt0.edges_scanned;
-      const std::uint64_t skips0 = cnt0.summary_zero_skips;
-      const std::uint64_t probes0 = cnt0.summary_probes;
-      const std::uint64_t wire0 = cnt0.bytes_intra_node + cnt0.bytes_inter_node;
-      const std::uint64_t raw0 = cnt0.bytes_raw_equiv;
-      const double comp0 = p.prof.get(sim::Phase::td_comp) +
-                           p.prof.get(sim::Phase::bu_comp);
-      const double comm0 = p.prof.comm_ns();
-
-      LevelResult lr;
-      std::uint64_t my_rem = 0;
+    s.kernels = [&](int dir, int level, std::span<const int> parts) {
+      at_kernel = snapshot();
+      LevelCounts my;
       const double kernel_t0 = p.clock.now_ns();
-      for (int q : rec.parts()) {
+      for (int q : parts) {
         const auto& qlg = dg.locals[static_cast<size_t>(q)];
         const UnitCosts& qu = costs[static_cast<size_t>(q)];
         const LevelResult qr = dir == 0 ? top_down_level(p, qlg, qu, st, q)
                                         : bottom_up_level(p, qlg, qu, st, q);
-        lr.discovered += qr.discovered;
-        lr.discovered_edges += qr.discovered_edges;
-        my_rem += st.unvisited_edges(q);
+        my.discovered += qr.discovered;
+        my.discovered_edges += qr.discovered_edges;
+        my.unvisited_edges += st.unvisited_edges(q);
       }
       p.trace_span(obs::kCatBfs, dir == 0 ? "td_kernel" : "bu_kernel",
                    kernel_t0, p.clock.now_ns(),
                    obs::kv("level", level) + "," +
-                       obs::kv("discovered", lr.discovered));
-
-      const std::uint64_t nf =
-          rt::allreduce_sum(p, world, lr.discovered, sim::Phase::stall);
-      const std::uint64_t mf = rt::allreduce_sum(p, world, lr.discovered_edges,
-                                                 sim::Phase::stall);
-      const std::uint64_t rem =
-          rt::allreduce_sum(p, world, my_rem, sim::Phase::stall);
-
-      // Crash detection point: a rank dies at the start of a level, before
-      // contributing to its kernels or reductions, whose barriers give
-      // every survivor a consistent view of the death.
-      const double rb_t0 = p.clock.now_ns();
-      if (rec.recovered(restore)) {
-        p.trace_span(obs::kCatBfs, "recovery.rollback", rb_t0,
-                     p.clock.now_ns(),
-                     obs::kv("level", level) + "," +
-                         obs::kv("parts",
-                                 static_cast<int>(rec.parts().size())));
-        continue;  // re-run the level (level/dir/prev_nf unchanged)
+                       obs::kv("discovered", my.discovered));
+      return my;
+    };
+    // The bitmap allgathers belong to the bottom-up procedure (Fig. 1);
+    // the sparse list exchange is the top-down queue handoff.
+    s.exchange = [&](int dir, int next, std::span<const int> parts) {
+      return exchange_level(p, dg, st, u, dir, next, parts);
+    };
+    s.close = [&](bool recorder, const ExchangeLevelStats* ex) {
+      if (recorder) {
+        if (ex != nullptr) (ex->bitmap ? out.bu_exchanges : out.td_exchanges)++;
+        ex_codec.push_back(ex != nullptr ? static_cast<int>(ex->codec) : -1);
       }
+      rank_levels[static_cast<size_t>(p.rank)].push_back(
+          {at_kernel, snapshot()});
+    };
 
-      const int recorder = rec.recorder();
-      if (p.rank == recorder) {
-        shared.directions.push_back(dir);
-        shared.visited += nf;
-        shared.frontier_sizes.push_back(prev_nf);
-        shared.discovered.push_back(nf);
-      }
-      const std::uint64_t frontier_prev_count = prev_nf;
-      prev_nf = nf;
-
-      const auto record_level = [&] {
-        const auto& cnt1 = p.prof.counters();
-        RankLevel rl;
-        rl.edges = cnt1.edges_scanned - edges0;
-        rl.skips = cnt1.summary_zero_skips - skips0;
-        rl.probes = cnt1.summary_probes - probes0;
-        rl.wire = cnt1.bytes_intra_node + cnt1.bytes_inter_node - wire0;
-        rl.wire_raw = cnt1.bytes_raw_equiv - raw0;
-        rl.comp_ns = p.prof.get(sim::Phase::td_comp) +
-                     p.prof.get(sim::Phase::bu_comp) - comp0;
-        rl.comm_ns = p.prof.comm_ns() - comm0;
-        rank_levels[static_cast<size_t>(p.rank)].push_back(rl);
-      };
-      if (nf == 0) {
-        if (p.rank == recorder) shared.ex_codec.push_back(-1);  // no exchange
-        record_level();
-        p.trace_span(obs::kCatBfs, "level " + std::to_string(level), level_t0,
-                     p.clock.now_ns(),
-                     obs::kv("dir", dir == 0 ? "td" : "bu") + "," +
-                         obs::kv("discovered", nf));
-        break;
-      }
-
-      // Decide the next level's direction first: it selects the exchange.
-      // td -> bu additionally requires a *growing* frontier (Beamer): at
-      // the tail the remaining-edge denominator collapses and the ratio
-      // test alone would bounce back into bottom-up for a dying frontier.
-      const bool growing = nf > frontier_prev_count;
-      int next = dir;
-      if (cfg.direction == Direction::hybrid) {
-        if (dir == 0 && growing &&
-            static_cast<double>(mf) > static_cast<double>(rem) / cfg.alpha)
-          next = 1;
-        else if (dir == 1 &&
-                 static_cast<double>(nf) < static_cast<double>(n) / cfg.beta)
-          next = 0;
-      }
-
-      // The bitmap allgathers belong to the bottom-up procedure (Fig. 1);
-      // the sparse list exchange is the top-down queue handoff. Both sit
-      // behind the unified FrontierExchange interface (DESIGN.md §13).
-      const ExchangeLevelStats ex =
-          exchanger.exchange(p, dir, next, rec.parts());
-      p.trace_instant(obs::kCatBfs, "codec.gate",
-                      obs::kv("level", level) + "," +
-                          obs::kv("kind", graph::codec::to_string(ex.codec)) +
-                          "," + obs::kv("wire_bytes", ex.wire_bytes) + "," +
-                          obs::kv("raw_bytes", ex.raw_bytes));
-      if (p.rank == recorder) {
-        (ex.bitmap ? shared.bu_ex : shared.td_ex)++;
-        shared.ex_codec.push_back(static_cast<int>(ex.codec));
-      }
-      record_level();
-      p.trace_span(obs::kCatBfs, "level " + std::to_string(level), level_t0,
-                   p.clock.now_ns(),
-                   obs::kv("dir", dir == 0 ? "td" : "bu") + "," +
-                       obs::kv("discovered", nf));
-      dir = next;
-      ++level;
-    }
-
-    p.barrier(world, sim::Phase::stall);
+    reset_state(p, dg, st, root, u);
+    const bool root_owned = root >= lg.vbegin && root < lg.vend;
+    loop.run(p, root_owned ? lg.degree(root - lg.vbegin) : 0,
+             st.unvisited_edges(p.rank), s);
   });
 
-  // Aggregate.
-  const sim::RunProfile prof = sim::aggregate(c.profiles());
-  out.time_ns = prof.max_total_ns;
-  out.visited = shared.visited;
-  out.directions = shared.directions;
-  out.tally(shared.directions, recovery, prof);
-  out.td_exchanges = shared.td_ex;
-  out.bu_exchanges = shared.bu_ex;
-  out.profile_max = prof.max;
-
-  std::uint64_t traversed = 0;
-  for (int r = 0; r < c.nranks(); ++r)
-    traversed += dg.locals[static_cast<size_t>(r)].owned_edges() -
-                 st.unvisited_edges(r);
-  out.traversed_directed_edges = traversed;
-
+  loop.finish(out);
   // Assemble the per-level trace from the host-side rank records.
-  out.trace.reserve(shared.directions.size());
-  for (size_t lvl = 0; lvl < shared.directions.size(); ++lvl) {
-    LevelTrace t;
-    t.level = static_cast<int>(lvl);
-    t.direction = shared.directions[lvl];
-    t.frontier_vertices = shared.frontier_sizes[lvl];
-    t.discovered = shared.discovered[lvl];
-    if (lvl < shared.ex_codec.size()) t.exchange_codec = shared.ex_codec[lvl];
+  out.trace = loop.trace<LevelTrace>();
+  for (size_t lvl = 0; lvl < out.trace.size(); ++lvl) {
+    LevelTrace& t = out.trace[lvl];
+    t.exchange_codec = ex_codec[lvl];
     for (const auto& rl : rank_levels) {
       if (lvl >= rl.size()) continue;
-      t.edges_scanned += rl[lvl].edges;
-      t.summary_zero_skips += rl[lvl].skips;
-      t.summary_probes += rl[lvl].probes;
-      t.wire_bytes += rl[lvl].wire;
-      t.wire_raw_bytes += rl[lvl].wire_raw;
-      t.comp_ns += rl[lvl].comp_ns;
-      t.comm_ns += rl[lvl].comm_ns;
+      const auto& [a, b] = rl[lvl];
+      t.edges_scanned += b.edges - a.edges;
+      t.summary_zero_skips += b.skips - a.skips;
+      t.summary_probes += b.probes - a.probes;
+      t.wire_bytes += b.wire - a.wire;
+      t.wire_raw_bytes += b.wire_raw - a.wire_raw;
+      t.comp_ns += b.comp_ns - a.comp_ns;
+      t.comm_ns += b.comm_ns - a.comm_ns;
     }
     t.comp_ns /= static_cast<double>(c.nranks());
     t.comm_ns /= static_cast<double>(c.nranks());
-    out.trace.push_back(t);
   }
   return out;
 }

@@ -8,11 +8,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "bfs/config.hpp"
+#include "bfs/level_loop.hpp"
 #include "bfs/state.hpp"
-#include "faults/recovery.hpp"
 #include "graph/dist_graph.hpp"
-#include "numasim/phase_profile.hpp"
 #include "runtime/cluster.hpp"
 
 namespace numabfs::bfs {
@@ -59,25 +57,11 @@ struct LevelTrace {
 };
 
 /// Result of one BFS (one root) on one variant.
-struct BfsRunResult : faults::LevelLoopResult {
-  double time_ns = 0;            ///< virtual wall time (max over ranks)
-  std::uint64_t visited = 0;     ///< vertices in the tree (incl. root)
-  std::uint64_t traversed_directed_edges = 0;  ///< adjacency entries covered
+struct BfsRunResult : BfsResult {
   int bu_exchanges = 0;  ///< bottom-up communication phases performed
   int td_exchanges = 0;
-  std::vector<int> directions;  ///< 0 = top-down, 1 = bottom-up, per level
-
-  sim::PhaseProfile profile_max;  ///< per-phase max over ranks
   std::vector<LevelTrace> trace;  ///< one entry per level
 
-  std::uint64_t traversed_edges() const {
-    return traversed_directed_edges / 2;
-  }
-  double teps() const {
-    return time_ns > 0 ? static_cast<double>(traversed_edges()) /
-                             (time_ns * 1e-9)
-                       : 0.0;
-  }
   /// Mean duration of one bottom-up communication phase (Figs. 12/13).
   double avg_bu_comm_ns() const {
     return bu_exchanges > 0 ? profile_avg.get(sim::Phase::bu_comm) /

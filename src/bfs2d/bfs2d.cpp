@@ -7,10 +7,8 @@
 #include <string>
 
 #include "bfs2d/exchange2d.hpp"
-#include "faults/recovery.hpp"
 #include "graph/bitmap.hpp"
 #include "obs/trace.hpp"
-#include "runtime/allgather.hpp"
 
 namespace numabfs::bfs2d {
 
@@ -240,16 +238,12 @@ std::uint64_t ckpt_words(const Grid2d& g) {
 
 }  // namespace
 
-std::string Bfs2dOptions::validate() const {
-  if (summary_granularity < 1) return "summary_granularity must be >= 1";
-  if (alpha <= 0.0 || beta <= 0.0) return "alpha/beta must be positive";
-  if (exchange_chunks < 1 || exchange_chunks > 4096)
-    return "exchange_chunks must be in [1, 4096]";
-  if (exchange_chunks > 1 && codec == bfs::CodecMode::off)
-    return "exchange_chunks > 1 requires an active codec: the raw exchange "
-           "has no decode stage to overlap (set codec=gate or "
-           "exchange_chunks=1)";
-  return {};
+bfs::Config Bfs2dOptions::config() const {
+  bfs::Config cfg;
+  cfg.direction = direction;
+  cfg.codec = codec;
+  cfg.exchange_chunks = exchange_chunks;
+  return cfg;
 }
 
 Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
@@ -272,138 +266,80 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
   if (const std::string err = opt.validate(); !err.empty())
     throw std::invalid_argument("run_bfs_2d: " + err);
 
+  const bfs::Config cfg = opt.config();
   const int np = g.np();
   std::vector<bfs::UnitCosts> costs(static_cast<std::size_t>(np));
   for (int r = 0; r < np; ++r) {
     bfs::StructSizes sz;
     sz.in_queue_bytes = g.colband_bits() / 8;
-    sz.in_summary_bytes = (g.colband_bits() / opt.summary_granularity + 7) / 8;
+    sz.in_summary_bytes = (g.colband_bits() / cfg.summary_granularity + 7) / 8;
     sz.owned_bytes = g.piece_bits() / 8 +
                      g.piece_bits() * sizeof(graph::Vertex) +
                      g.band_bits() / 8;
     sz.td_group_count = std::max<std::uint64_t>(
         1, dg.blocks[static_cast<std::size_t>(r)].keys.size());
-    bfs::Config ccfg;
-    ccfg.summary_granularity = opt.summary_granularity;
-    costs[static_cast<std::size_t>(r)] = bfs::unit_costs(c, ccfg, sz);
+    costs[static_cast<std::size_t>(r)] = bfs::unit_costs(c, cfg, sz);
   }
 
-  State2d st(dg, opt.summary_granularity);
-
-  struct Shared {
-    std::vector<int> directions;
-    std::uint64_t visited = 1;  // root
-    std::vector<std::uint64_t> frontier_sizes;
-    std::vector<std::uint64_t> discovered;
-    std::vector<int> expand_codec;
-    std::vector<char> fold_coded;
-    double expand_ns_sum = 0;
-    double fold_ns_sum = 0;
-  } shared;
+  State2d st(dg, cfg.summary_granularity);
+  Bfs2dResult out;
+  std::vector<int> expand_codec;
+  std::vector<char> fold_coded;
+  double expand_ns_sum = 0, fold_ns_sum = 0;
   std::vector<std::vector<LegBytes>> rank_levels(static_cast<std::size_t>(np));
 
-  faults::LevelRecovery recovery(c, "run_bfs_2d", "traversal");
+  bfs::BeamerLoop loop(c, "run_bfs_2d", cfg, g.n());
   std::vector<Ckpt2d> ckpt(
-      recovery.checkpointing() ? static_cast<std::size_t>(np) : 0);
+      loop.checkpointing() ? static_cast<std::size_t>(np) : 0);
 
   c.run([&](rt::Proc& p) {
     const bfs::UnitCosts& u = costs[static_cast<std::size_t>(p.rank)];
-    rt::Comm& world = c.world();
     TwoDExchange ex(dg, st, costs, opt);
-    faults::LevelRecovery::Rank rec(recovery, p);
-    const auto save = [&](int q) {
-      const auto s = static_cast<std::size_t>(q);
-      Ckpt2d& ck = ckpt[s];
-      auto vw = st.visited[s].view().words();
-      ck.visited.assign(vw.begin(), vw.end());
-      auto fw = st.frontier[s].view().words();
-      ck.frontier.assign(fw.begin(), fw.end());
-      auto rw = st.row_visited[s].view().words();
-      ck.row_visited.assign(rw.begin(), rw.end());
-      ck.pred = st.pred[s];
-      ck.unvisited_edges = st.unvisited_edges[s];
-      p.charge(sim::Phase::other, costs[s].stream_pass_ns(ckpt_words(g)));
-    };
-    const auto restore = [&](int q) {
-      const auto s = static_cast<std::size_t>(q);
-      const Ckpt2d& ck = ckpt[s];
-      std::memcpy(st.visited[s].view().words().data(), ck.visited.data(),
-                  ck.visited.size() * 8);
-      std::memcpy(st.frontier[s].view().words().data(), ck.frontier.data(),
-                  ck.frontier.size() * 8);
-      std::memcpy(st.row_visited[s].view().words().data(),
-                  ck.row_visited.data(), ck.row_visited.size() * 8);
-      st.pred[s] = ck.pred;
-      st.unvisited_edges[s] = ck.unvisited_edges;
-      st.next[s].view().reset();
-      for (auto& box : st.out_children[s]) box.clear();
-      for (auto& box : st.out_parents[s]) box.clear();
-      p.charge(sim::Phase::other, costs[s].stream_pass_ns(ckpt_words(g)));
-    };
-
-    // --- per-root reset (Phase::other, like the 1-D) --------------------
-    {
-      const auto s = static_cast<std::size_t>(p.rank);
-      st.frontier[s].view().reset();
-      st.next[s].view().reset();
-      st.visited[s].view().reset();
-      st.colband[s].view().reset();
-      st.row_visited[s].view().reset();
-      std::fill(st.pred[s].begin(), st.pred[s].end(), graph::kNoVertex);
-      st.unvisited_edges[s] = dg.owned_edges[s];
-      for (auto& box : st.out_children[s]) box.clear();
-      for (auto& box : st.out_parents[s]) box.clear();
-      const int owner = g.owner(root);
-      if (owner == p.rank) {
-        const std::uint64_t lv = root - g.piece_begin(p.rank);
-        st.visited[s].view().set(lv);
-        st.frontier[s].view().set(lv);
-        st.pred[s][lv] = root;
-        st.unvisited_edges[s] -= dg.piece_deg[s][lv];
-      }
-      if (g.row_of(p.rank) == g.row_of(owner))
-        st.row_visited[s].view().set(root - g.band_begin(g.row_of(p.rank)));
-      p.charge(sim::Phase::other,
-               u.stream_pass_ns(3 * (g.piece_bits() / 64) +
-                                g.band_bits() / 64 + g.colband_bits() / 64));
-      p.barrier(world, sim::Phase::other);
-    }
-
-    const std::uint64_t root_deg =
-        g.owner(root) == p.rank
-            ? dg.piece_deg[static_cast<std::size_t>(p.rank)]
-                          [root - g.piece_begin(p.rank)]
-            : 0;
-    const std::uint64_t frontier_edges =
-        rt::allreduce_sum(p, world, root_deg, sim::Phase::stall);
-
-    int dir = opt.direction == bfs::Direction::bottom_up_only ? 1 : 0;
-    if (opt.direction == bfs::Direction::hybrid) {
-      const std::uint64_t rem0 = rt::allreduce_sum(
-          p, world, st.unvisited_edges[static_cast<std::size_t>(p.rank)],
-          sim::Phase::stall);
-      if (static_cast<double>(frontier_edges) >
-          static_cast<double>(rem0) / opt.alpha)
-        dir = 1;
-    }
-
     double my_expand_sum = 0, my_fold_sum = 0;
-    // Bootstrap: build level 0's col-band inputs from the root frontier.
-    ex.reset_legs();
-    ex.build_inputs(p, dir, rec.parts());
-    my_expand_sum += ex.last_expand_ns();
-    LegBytes in_legs = ex.legs();
+    LegBytes in_legs, cur_legs;
 
-    std::uint64_t prev_nf = 1;
-    int level = 0;
-    for (;;) {
-      const double level_t0 = p.clock.now_ns();
-      if (rec.crash_point(level, save)) return;
-      LegBytes cur_legs = in_legs;
-
-      // --- local scan -------------------------------------------------
+    bfs::LevelSteps s;
+    s.save = [&](int q) {
+      const auto i = static_cast<std::size_t>(q);
+      Ckpt2d& ck = ckpt[i];
+      auto vw = st.visited[i].view().words();
+      ck.visited.assign(vw.begin(), vw.end());
+      auto fw = st.frontier[i].view().words();
+      ck.frontier.assign(fw.begin(), fw.end());
+      auto rw = st.row_visited[i].view().words();
+      ck.row_visited.assign(rw.begin(), rw.end());
+      ck.pred = st.pred[i];
+      ck.unvisited_edges = st.unvisited_edges[i];
+      p.charge(sim::Phase::other, costs[i].stream_pass_ns(ckpt_words(g)));
+    };
+    s.restore = [&](int q) {
+      const auto i = static_cast<std::size_t>(q);
+      const Ckpt2d& ck = ckpt[i];
+      std::memcpy(st.visited[i].view().words().data(), ck.visited.data(),
+                  ck.visited.size() * 8);
+      std::memcpy(st.frontier[i].view().words().data(), ck.frontier.data(),
+                  ck.frontier.size() * 8);
+      std::memcpy(st.row_visited[i].view().words().data(),
+                  ck.row_visited.data(), ck.row_visited.size() * 8);
+      st.pred[i] = ck.pred;
+      st.unvisited_edges[i] = ck.unvisited_edges;
+      st.next[i].view().reset();
+      for (auto& box : st.out_children[i]) box.clear();
+      for (auto& box : st.out_parents[i]) box.clear();
+      p.charge(sim::Phase::other, costs[i].stream_pass_ns(ckpt_words(g)));
+    };
+    // The col-band inputs of the next level: built before level 0 and
+    // again from the restored frontier pieces after a rollback.
+    s.inputs = [&](int dir, std::span<const int> parts) {
+      ex.reset_legs();
+      ex.build_inputs(p, dir, parts);
+      my_expand_sum += ex.last_expand_ns();
+      in_legs = ex.legs();
+    };
+    s.kernels = [&](int dir, int level, std::span<const int> parts) {
+      cur_legs = in_legs;
       const double kernel_t0 = p.clock.now_ns();
-      for (int q : rec.parts()) {
+      for (int q : parts) {
         const bfs::UnitCosts& qu = costs[static_cast<std::size_t>(q)];
         if (dir == 0)
           scan_td(p, dg, st, qu, q);
@@ -413,139 +349,89 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
       p.trace_span(obs::kCatBfs, dir == 0 ? "2d.td_kernel" : "2d.bu_kernel",
                    kernel_t0, p.clock.now_ns(), obs::kv("level", level));
 
-      // --- fold: claims travel the rows to their owners ---------------
+      // Fold: claims travel the rows to their owners.
       ex.reset_legs();
-      const FoldStats fr = ex.fold(p, dir, rec.parts());
+      const FoldStats fr = ex.fold(p, dir, parts);
       my_fold_sum += ex.last_fold_ns();
       cur_legs.fold_wire += ex.legs().fold_wire;
       cur_legs.fold_raw += ex.legs().fold_raw;
       cur_legs.fold_coded = ex.legs().fold_coded;
-
-      std::uint64_t my_rem = 0;
-      for (int q : rec.parts())
-        my_rem += st.unvisited_edges[static_cast<std::size_t>(q)];
-      const std::uint64_t nf =
-          rt::allreduce_sum(p, world, fr.discovered, sim::Phase::stall);
-      const std::uint64_t mf =
-          rt::allreduce_sum(p, world, fr.discovered_edges, sim::Phase::stall);
-      const std::uint64_t rem =
-          rt::allreduce_sum(p, world, my_rem, sim::Phase::stall);
-
-      // Crash detection point: after the rollback, rebuild the col-band
-      // inputs from the restored frontier pieces and re-run the level.
-      const double rb_t0 = p.clock.now_ns();
-      if (rec.recovered(restore)) {
-        ex.reset_legs();
-        ex.build_inputs(p, dir, rec.parts());
-        my_expand_sum += ex.last_expand_ns();
-        in_legs = ex.legs();
-        p.trace_span(obs::kCatBfs, "recovery.rollback", rb_t0,
-                     p.clock.now_ns(),
-                     obs::kv("level", level) + "," +
-                         obs::kv("parts",
-                                 static_cast<int>(rec.parts().size())));
-        continue;  // re-run the level (level/dir/prev_nf unchanged)
-      }
-
-      const int recorder = rec.recorder();
-      if (p.rank == recorder) {
-        shared.directions.push_back(dir);
-        shared.visited += nf;
-        shared.frontier_sizes.push_back(prev_nf);
-        shared.discovered.push_back(nf);
-        shared.expand_codec.push_back(cur_legs.expand_codec);
-        shared.fold_coded.push_back(cur_legs.fold_coded ? 1 : 0);
-      }
-      const std::uint64_t frontier_prev_count = prev_nf;
-      prev_nf = nf;
-
-      if (nf == 0) {
-        rank_levels[static_cast<std::size_t>(p.rank)].push_back(cur_legs);
-        p.trace_span(obs::kCatBfs, "level " + std::to_string(level), level_t0,
-                     p.clock.now_ns(),
-                     obs::kv("dir", dir == 0 ? "td" : "bu") + "," +
-                         obs::kv("discovered", nf));
-        break;
-      }
-
-      // Next direction (Beamer, with the 1-D's growing-frontier guard).
-      const bool growing = nf > frontier_prev_count;
-      int next = dir;
-      if (opt.direction == bfs::Direction::hybrid) {
-        if (dir == 0 && growing &&
-            static_cast<double>(mf) > static_cast<double>(rem) / opt.alpha)
-          next = 1;
-        else if (dir == 1 && static_cast<double>(nf) <
-                                 static_cast<double>(g.n()) / opt.beta)
-          next = 0;
-      }
-
+      bfs::LevelCounts my{fr.discovered, fr.discovered_edges, 0};
+      for (int q : parts)
+        my.unvisited_edges += st.unvisited_edges[static_cast<std::size_t>(q)];
+      return my;
+    };
+    s.exchange = [&](int dir, int next, std::span<const int> parts) {
       ex.reset_legs();
-      const bfs::ExchangeLevelStats exs =
-          ex.exchange(p, dir, next, rec.parts());
+      const bfs::ExchangeLevelStats exs = ex.exchange(p, dir, next, parts);
       my_expand_sum += ex.last_expand_ns();
-      p.trace_instant(obs::kCatBfs, "codec.gate",
-                      obs::kv("level", level) + "," +
-                          obs::kv("kind", graph::codec::to_string(exs.codec)) +
-                          "," + obs::kv("wire_bytes", exs.wire_bytes) + "," +
-                          obs::kv("raw_bytes", exs.raw_bytes));
-      // Split the exchange's legs: the claim-return served this level; the
-      // transpose/expand belong to the level whose inputs they built.
-      const LegBytes exl = ex.legs();
-      cur_legs.ret_wire += exl.ret_wire;
-      cur_legs.ret_raw += exl.ret_raw;
-      in_legs = LegBytes{};
-      in_legs.transpose_wire = exl.transpose_wire;
-      in_legs.transpose_raw = exl.transpose_raw;
-      in_legs.expand_wire = exl.expand_wire;
-      in_legs.expand_raw = exl.expand_raw;
-      in_legs.expand_codec = exl.expand_codec;
+      return exs;
+    };
+    s.close = [&](bool recorder, const bfs::ExchangeLevelStats* exs) {
+      if (recorder) {
+        expand_codec.push_back(cur_legs.expand_codec);
+        fold_coded.push_back(cur_legs.fold_coded ? 1 : 0);
+      }
+      if (exs != nullptr) {
+        // Split the exchange's legs: the claim-return served this level;
+        // the transpose/expand belong to the level whose inputs they built.
+        const LegBytes& exl = ex.legs();
+        cur_legs.ret_wire += exl.ret_wire;
+        cur_legs.ret_raw += exl.ret_raw;
+        in_legs = LegBytes{};
+        in_legs.transpose_wire = exl.transpose_wire;
+        in_legs.transpose_raw = exl.transpose_raw;
+        in_legs.expand_wire = exl.expand_wire;
+        in_legs.expand_raw = exl.expand_raw;
+        in_legs.expand_codec = exl.expand_codec;
+      } else if (recorder) {  // the last level: the sums are final
+        expand_ns_sum = my_expand_sum;
+        fold_ns_sum = my_fold_sum;
+      }
       rank_levels[static_cast<std::size_t>(p.rank)].push_back(cur_legs);
-      p.trace_span(obs::kCatBfs, "level " + std::to_string(level), level_t0,
-                   p.clock.now_ns(),
-                   obs::kv("dir", dir == 0 ? "td" : "bu") + "," +
-                       obs::kv("discovered", nf));
-      dir = next;
-      ++level;
-    }
+    };
 
-    p.barrier(world, sim::Phase::stall);
-    if (p.rank == rec.recorder()) {
-      shared.expand_ns_sum = my_expand_sum;
-      shared.fold_ns_sum = my_fold_sum;
+    // --- per-root reset (Phase::other, like the 1-D) --------------------
+    const auto i = static_cast<std::size_t>(p.rank);
+    st.frontier[i].view().reset();
+    st.next[i].view().reset();
+    st.visited[i].view().reset();
+    st.colband[i].view().reset();
+    st.row_visited[i].view().reset();
+    std::fill(st.pred[i].begin(), st.pred[i].end(), graph::kNoVertex);
+    st.unvisited_edges[i] = dg.owned_edges[i];
+    for (auto& box : st.out_children[i]) box.clear();
+    for (auto& box : st.out_parents[i]) box.clear();
+    const int owner = g.owner(root);
+    const std::uint64_t lv = root - g.piece_begin(owner);
+    if (owner == p.rank) {
+      st.visited[i].view().set(lv);
+      st.frontier[i].view().set(lv);
+      st.pred[i][lv] = root;
+      st.unvisited_edges[i] -= dg.piece_deg[i][lv];
     }
+    if (g.row_of(p.rank) == g.row_of(owner))
+      st.row_visited[i].view().set(root - g.band_begin(g.row_of(p.rank)));
+    p.charge(sim::Phase::other,
+             u.stream_pass_ns(3 * (g.piece_bits() / 64) + g.band_bits() / 64 +
+                              g.colband_bits() / 64));
+    p.barrier(c.world(), sim::Phase::other);
+
+    loop.run(p, owner == p.rank ? dg.piece_deg[i][lv] : 0,
+             st.unvisited_edges[i], s);
   });
 
   // --- aggregate (host side) -------------------------------------------
-  Bfs2dResult out;
-  const sim::RunProfile prof = sim::aggregate(c.profiles());
-  out.time_ns = prof.max_total_ns;
-  out.visited = shared.visited;
-  out.directions = shared.directions;
-  out.tally(shared.directions, recovery, prof);
-  out.profile_max = prof.max;
-
-  std::uint64_t traversed = 0;
-  for (int r = 0; r < np; ++r)
-    traversed += dg.owned_edges[static_cast<std::size_t>(r)] -
-                 st.unvisited_edges[static_cast<std::size_t>(r)];
-  out.traversed_directed_edges = traversed;
+  loop.finish(out);
   if (out.levels > 0) {
-    out.expand_ns_per_level =
-        shared.expand_ns_sum / static_cast<double>(out.levels);
-    out.fold_ns_per_level =
-        shared.fold_ns_sum / static_cast<double>(out.levels);
+    out.expand_ns_per_level = expand_ns_sum / static_cast<double>(out.levels);
+    out.fold_ns_per_level = fold_ns_sum / static_cast<double>(out.levels);
   }
-
-  out.trace.reserve(shared.directions.size());
-  for (std::size_t lvl = 0; lvl < shared.directions.size(); ++lvl) {
-    Level2dTrace t;
-    t.level = static_cast<int>(lvl);
-    t.direction = shared.directions[lvl];
-    t.frontier_vertices = shared.frontier_sizes[lvl];
-    t.discovered = shared.discovered[lvl];
-    t.expand_codec = shared.expand_codec[lvl];
-    t.fold_coded = shared.fold_coded[lvl] != 0;
+  out.trace = loop.trace<Level2dTrace>();
+  for (std::size_t lvl = 0; lvl < out.trace.size(); ++lvl) {
+    Level2dTrace& t = out.trace[lvl];
+    t.expand_codec = expand_codec[lvl];
+    t.fold_coded = fold_coded[lvl] != 0;
     for (const auto& rl : rank_levels) {
       if (lvl >= rl.size()) continue;
       t.transpose_wire_bytes += rl[lvl].transpose_wire;
@@ -557,7 +443,6 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
       t.return_wire_bytes += rl[lvl].ret_wire;
       t.return_raw_bytes += rl[lvl].ret_raw;
     }
-    out.trace.push_back(t);
   }
 
   if (parent_out != nullptr) {

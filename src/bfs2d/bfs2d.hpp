@@ -32,10 +32,9 @@
 #include <vector>
 
 #include "bfs/config.hpp"
-#include "faults/recovery.hpp"
+#include "bfs/level_loop.hpp"
 #include "graph/csr.hpp"
 #include "graph/types.hpp"
-#include "numasim/phase_profile.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/coll_model.hpp"
 
@@ -127,22 +126,22 @@ struct DistGraph2d {
   static DistGraph2d build(const graph::Csr& g, const Grid2d& grid);
 };
 
+/// The 2-D run's knobs; the Beamer thresholds and the col-band summary
+/// granularity are bfs::Config's defaults.
 struct Bfs2dOptions {
   bfs::Direction direction = bfs::Direction::hybrid;
-  double alpha = 14.0;  ///< td -> bu when mf > rem / alpha (Beamer)
-  double beta = 24.0;   ///< bu -> td when nf < n / beta
   /// Exchange codec (DESIGN.md §10) applied to the transpose/expand pieces,
   /// the fold's claim lists, and the claim-return pieces.
   bfs::CodecMode codec = bfs::CodecMode::off;
   int exchange_chunks = 1;  ///< K-chunk wire/decode pipelining
   /// Hierarchy level of the column allgather and row alltoallv.
   rt::coll_model::HierLevel hier = rt::coll_model::HierLevel::flat;
-  std::uint64_t summary_granularity = 64;  ///< col-band summary (Fig. 8)
 
-  /// Validate invariants (same contradictory-combo rules as bfs::Config);
-  /// returns an actionable error message or empty. run_bfs_2d calls this
-  /// and throws std::invalid_argument on a non-empty result.
-  std::string validate() const;
+  /// The bfs::Config these options select (direction, codec, chunks).
+  bfs::Config config() const;
+  /// config().validate(): an actionable error message or empty.
+  /// run_bfs_2d throws std::invalid_argument on a non-empty result.
+  std::string validate() const { return config().validate(); }
 };
 
 /// Per-level record of what the 2-D loop measured (summed over ranks),
@@ -169,23 +168,11 @@ struct Level2dTrace {
   }
 };
 
-struct Bfs2dResult : faults::LevelLoopResult {
-  double time_ns = 0;
-  std::uint64_t visited = 0;
-  std::vector<int> directions;
-  std::uint64_t traversed_directed_edges = 0;
-  sim::PhaseProfile profile_max;
+struct Bfs2dResult : bfs::BfsResult {
   std::vector<Level2dTrace> trace;
   /// mean time of one expand (column allgather) / fold (row exchange)
   double expand_ns_per_level = 0;
   double fold_ns_per_level = 0;
-
-  /// Graph500 TEPS: undirected edges traversed over the modeled duration.
-  double teps() const {
-    return time_ns > 0 ? static_cast<double>(traversed_directed_edges) / 2.0 /
-                             (time_ns * 1e-9)
-                       : 0.0;
-  }
 };
 
 /// Run one 2-D BFS. `c` must have nranks == grid.np() and its ppn must

@@ -15,27 +15,7 @@ namespace numabfs::bfs2d {
 namespace cm = rt::coll_model;
 namespace codec = graph::codec;
 
-namespace {
-
-/// Stretch a collective's inter-node stage under an active link-degrade
-/// window (same convention as the 1-D exchange).
-void stretch_inter(rt::Proc& p, const faults::FaultInjector* inj,
-                   cm::CollTimes& t) {
-  if (inj == nullptr) return;
-  const double lf = inj->min_link_factor(p.clock.now_ns());
-  t.total_ns += t.inter_ns * (1.0 / lf - 1.0);
-  t.inter_ns /= lf;
-}
-
-/// Visit the caller's partitions, own rank first (the 1-D adoption order).
-template <typename F>
-void for_owned_parts(rt::Proc& p, std::span<const int> parts, F&& f) {
-  f(p.rank);
-  for (int q : parts)
-    if (q != p.rank) f(q);
-}
-
-}  // namespace
+using bfs::for_owned_parts;
 
 State2d::State2d(const DistGraph2d& dg, std::uint64_t summary_granularity) {
   const Grid2d& g = dg.grid;
@@ -186,15 +166,12 @@ bfs::ExchangeLevelStats TwoDExchange::build_inputs(rt::Proc& p, int dir,
     if (R > 1) {
       cm::CollTimes et = cm::hier_subgroup_allgather(
           c, R, 1, ppn, gate.wire_chunk_bytes, hier, rd_inter);
-      stretch_inter(p, inj, et);
+      bfs::stretch_degraded(p, et);
       double tot = et.total_ns;
-      if (kind != codec::Kind::raw) {
-        const double dec =
-            u.stream_pass_ns(static_cast<std::uint64_t>(R) * piece_words);
-        const double seq = tot + dec;
-        tot = cm::pipelined2_ns(tot, dec, K);
-        p.prof.add_overlap_saved(seq - tot);
-      }
+      if (kind != codec::Kind::raw)
+        tot = bfs::overlap_decode(
+            p, tot,
+            u.stream_pass_ns(static_cast<std::uint64_t>(R) * piece_words), K);
       leg_ns += tot;
       last_expand_ns_ = tot;
     }
@@ -376,13 +353,9 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
   double t = cm::hier_alltoallv_ns(c, std::max(1, C / ppn), std::min(ppn, C),
                                    node_intra, node_inter, hier);
   if (inj != nullptr) t /= inj->min_link_factor(p.clock.now_ns());
-  if (coded && dec_ns > 0) {
-    // The owner decodes claim lists while later chunks are in flight
-    // (K-chunk wire/decode pipelining, as on the bitmap legs).
-    const double seq = t + dec_ns;
-    t = cm::pipelined2_ns(t, dec_ns, K);
-    p.prof.add_overlap_saved(seq - t);
-  }
+  // The owner decodes claim lists while later chunks are in flight
+  // (K-chunk wire/decode pipelining, as on the bitmap legs).
+  if (coded && dec_ns > 0) t = bfs::overlap_decode(p, t, dec_ns, K);
   p.charge(phase, t);
   last_fold_ns_ = t;
   p.barrier(world, phase);
@@ -460,7 +433,7 @@ bfs::ExchangeLevelStats TwoDExchange::exchange(rt::Proc& p, int /*cur_dir*/,
         cm::CollTimes et = cm::hier_subgroup_allgather(
             c, std::max(1, C / ppn), std::min(ppn, C), 1, piece_bytes, hier,
             rd_inter);
-        stretch_inter(p, inj, et);
+        bfs::stretch_degraded(p, et);
         p.charge(sim::Phase::switch_conv,
                  et.total_ns + u.stream_pass_ns(g.band_bits() / 64));
       }
@@ -520,15 +493,13 @@ bfs::ExchangeLevelStats TwoDExchange::exchange(rt::Proc& p, int /*cur_dir*/,
           cm::CollTimes et = cm::hier_subgroup_allgather(
               c, std::max(1, C / ppn), std::min(ppn, C), 1,
               gate.wire_chunk_bytes, hier, rd_inter);
-          stretch_inter(p, inj, et);
+          bfs::stretch_degraded(p, et);
           double tot = et.total_ns;
-          if (gate.kind != codec::Kind::raw) {
-            const double dec = u.stream_pass_ns(
-                static_cast<std::uint64_t>(C) * piece_words);
-            const double seq = tot + dec;
-            tot = cm::pipelined2_ns(tot, dec, K);
-            p.prof.add_overlap_saved(seq - tot);
-          }
+          if (gate.kind != codec::Kind::raw)
+            tot = bfs::overlap_decode(
+                p, tot,
+                u.stream_pass_ns(static_cast<std::uint64_t>(C) * piece_words),
+                K);
           leg_ns += tot;
         }
         p.charge(phase, leg_ns);

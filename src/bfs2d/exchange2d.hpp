@@ -1,7 +1,7 @@
 #pragma once
 /// \file exchange2d.hpp
-/// The 2-D decomposition's communication legs behind the unified
-/// FrontierExchange interface (DESIGN.md §13). All traversal state lives in
+/// The 2-D decomposition's communication legs, the exchange step of the
+/// shared BFS level loop (bfs/level_loop.hpp, DESIGN.md §13). All traversal state lives in
 /// `State2d` — plain host-side vectors indexed by partition, visible to
 /// every rank thread (the simulated address spaces are private by
 /// convention); barriers separate the write and read phases exactly like
@@ -82,13 +82,11 @@ struct LegBytes {
 
 /// One rank's view of the 2-D exchange. SPMD: every live rank constructs
 /// its own instance and calls the legs in lockstep.
-class TwoDExchange final : public bfs::FrontierExchange {
+class TwoDExchange {
  public:
   TwoDExchange(const DistGraph2d& dg, State2d& st,
                std::span<const bfs::UnitCosts> costs, const Bfs2dOptions& opt)
       : dg_(dg), st_(st), costs_(costs), opt_(opt) {}
-
-  const char* name() const override { return "2d"; }
 
   /// Build the col-band frontier inputs for a level about to run `dir`:
   /// codec-gated transpose + hierarchical column expand, plus the summary
@@ -101,11 +99,11 @@ class TwoDExchange final : public bfs::FrontierExchange {
   /// (the communication tail of the level's kernel).
   FoldStats fold(rt::Proc& p, int dir, std::span<const int> parts);
 
-  /// FrontierExchange: advance the frontier, refresh the row-band visited
+  /// The level loop's exchange: advance the frontier, refresh the row-band visited
   /// replicas when the next level is bottom-up (claim-return, or the full
   /// rebuild on a td -> bu switch), then build_inputs for `next_dir`.
   bfs::ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
-                                   std::span<const int> parts) override;
+                                   std::span<const int> parts);
 
   LegBytes& legs() { return legs_; }
   void reset_legs() { legs_ = LegBytes{}; }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "graph/rmat.hpp"
@@ -177,8 +178,8 @@ EngineReport QueryEngine::serve(std::span<const Query> queries) {
 
   double now = 0;
   std::size_t completed = 0;
+  std::vector<Admitted> unit;  // the queries of one dispatch
   std::vector<WaveQuery> wave;
-  std::vector<std::size_t> wave_idx;
   // NaN marks "never completed"; mean/percentile skip non-finite entries,
   // so a lane that cannot complete (e.g. its rank crashed) deflates the
   // completed count rather than silently pulling the percentiles to 0.
@@ -208,122 +209,112 @@ EngineReport QueryEngine::serve(std::span<const Query> queries) {
     }
     const graph::DistGraph& wdg = pg.graph != nullptr ? *pg.graph : dg_;
 
-    // A program query at the head of the queue is dispatched alone through
-    // run_program (programs own the whole cluster; they cannot share a
-    // wave's lane words). Admission stays FIFO end to end: a wave never
-    // reaches past the first queued program query.
-    if (!queue.empty() && is_program_kind(queries[queue.front().idx].kind)) {
-      const Admitted a = queue.front();
+    // One dispatch unit: a program query at the head of the queue runs
+    // alone through run_program (programs own the whole cluster; they
+    // cannot share a wave's lane words); otherwise up to max_batch lanes
+    // ride one wave. Admission stays FIFO end to end: a wave never reaches
+    // past the first queued program query. The freed slots let door-blocked
+    // arrivals enter the queue now (they ride a later dispatch).
+    const bool program = is_program_kind(queries[queue.front().idx].kind);
+    const std::size_t cap =
+        program ? 1 : static_cast<std::size_t>(ec_.max_batch);
+    unit.clear();
+    while (!queue.empty() && unit.size() < cap) {
+      if (!unit.empty() && is_program_kind(queries[queue.front().idx].kind))
+        break;  // the program query heads the next dispatch
+      unit.push_back(queue.front());
       queue.pop_front();
-      last_dequeue = now;
-      admit(now);
-      const Query& q = queries[a.idx];
-      auto& r = rep.results[a.idx];
+    }
+    last_dequeue = now;
+    admit(now);
+    for (std::size_t l = 0; l < unit.size(); ++l) {
+      const Query& q = queries[unit[l].idx];
+      auto& r = rep.results[unit[l].idx];
       r.id = q.id;
       r.kind = q.kind;
       r.arrival_ns = q.arrival_ns;
-      r.admit_ns = a.admit_ns;
+      r.admit_ns = unit[l].admit_ns;
       r.start_ns = now;
-      r.wave = -1;  // not a wave rider
-      r.lane = 0;
+      r.wave = program ? -1 : rep.waves;  // a program is no wave rider
+      r.lane = static_cast<int>(l);
+    }
 
-      const FrontierProgram& prog =
-          progs_.get(workload_of(q.kind), wdg, pg.epoch);
-      ProgramState pstate(wdg, ws_.config(), cluster_.topo().nodes(),
-                          cluster_.ppn(), prog.with_values());
+    // Run. In-unit rank clocks restart at 0; land their events at the
+    // dispatch start.
+    const int batch = static_cast<int>(unit.size());
+    if (tr != nullptr) {
+      if (!program)
+        tr->instant(tr->host_track(), obs::kCatEngine, "batch.form", now,
+                    obs::kv("wave", rep.waves) + "," + obs::kv("batch", batch));
+      tr->set_base_ns(now);
+    }
+    const Query& head = queries[unit.front().idx];
+    const FrontierProgram* prog = nullptr;
+    std::optional<ProgramState> pstate;
+    ProgramResult pres;
+    WaveResult wres;
+    if (program) {
+      prog = &progs_.get(workload_of(head.kind), wdg, pg.epoch);
+      pstate.emplace(wdg, ws_.config(), cluster_.topo().nodes(),
+                     cluster_.ppn(), prog->with_values());
       ProgramOptions po;
       po.epoch = pg.epoch;
       po.max_levels = ec_.programs.max_levels;
-      if (tr != nullptr) tr->set_base_ns(now);
-      const ProgramResult res = run_program(
-          cluster_, wdg, pstate, prog, ProgramQuery{q.source, q.target}, po);
-      if (tr != nullptr) {
-        tr->set_base_ns(0);
-        tr->span(tr->host_track(), obs::kCatEngine,
-                 std::string("program ") + prog.name(), now,
-                 now + res.total_ns,
-                 obs::kv("query", q.id) + "," +
-                     obs::kv("levels", res.levels) + "," +
-                     obs::kv("value", res.value));
+      pres = run_program(cluster_, wdg, *pstate, *prog,
+                         ProgramQuery{head.source, head.target}, po);
+    } else {
+      wave.clear();
+      for (const Admitted& a : unit) {
+        const Query& q = queries[a.idx];
+        wave.push_back({q.kind, q.source, q.target, q.k});
       }
-      r.complete_ns = now + res.total_ns;
-      r.epoch = pg.epoch;
-      r.complete_level = res.levels;
-      r.value = res.value;
-      latencies[a.idx] = r.latency_ns();
-      if (ec_.program_sink) ec_.program_sink(q, res, pstate);
-
-      now += res.total_ns;
-      rep.busy_ns += res.total_ns;
-      rep.levels += res.levels;
-      rep.recoveries += res.recoveries;
-      rep.ranks_lost = std::max(rep.ranks_lost, res.ranks_lost);
-      ++rep.program_runs;
-      ++completed;
-      continue;
+      WaveOptions wo;
+      wo.epoch = pg.epoch;
+      wres = run_wave(cluster_, wdg, ws_, wave, wo);
     }
-
-    // Dequeue up to max_batch lanes; the freed slots let door-blocked
-    // arrivals enter the queue now (they ride a later wave).
-    wave.clear();
-    wave_idx.clear();
-    const int want =
-        std::min<int>(ec_.max_batch, static_cast<int>(queue.size()));
-    for (int l = 0; l < want; ++l) {
-      if (is_program_kind(queries[queue.front().idx].kind))
-        break;  // the program query heads the next dispatch
-      const Admitted a = queue.front();
-      queue.pop_front();
-      const Query& q = queries[a.idx];
-      wave.push_back({q.kind, q.source, q.target, q.k});
-      wave_idx.push_back(a.idx);
-      auto& r = rep.results[a.idx];
-      r.id = q.id;
-      r.kind = q.kind;
-      r.arrival_ns = q.arrival_ns;
-      r.admit_ns = a.admit_ns;
-      r.start_ns = now;
-      r.wave = rep.waves;
-      r.lane = l;
-    }
-    const int batch = static_cast<int>(wave.size());
-    last_dequeue = now;
-    admit(now);
-
-    if (tr != nullptr) {
-      tr->instant(tr->host_track(), obs::kCatEngine, "batch.form", now,
-                  obs::kv("wave", rep.waves) + "," + obs::kv("batch", batch));
-      // In-wave rank clocks restart at 0; land their events at wave start.
-      tr->set_base_ns(now);
-    }
-    WaveOptions wo;
-    wo.epoch = pg.epoch;
-    const WaveResult wr = run_wave(cluster_, wdg, ws_, wave, wo);
+    const RunResult& ran = program ? static_cast<const RunResult&>(pres) : wres;
+    const double run_ns = program ? pres.total_ns : wres.wave_ns;
     if (tr != nullptr) {
       tr->set_base_ns(0);
-      tr->span(tr->host_track(), obs::kCatEngine,
-               "wave " + std::to_string(rep.waves), now, now + wr.wave_ns,
-               obs::kv("batch", batch) + "," + obs::kv("levels", wr.levels));
+      if (program)
+        tr->span(tr->host_track(), obs::kCatEngine,
+                 std::string("program ") + prog->name(), now, now + run_ns,
+                 obs::kv("query", head.id) + "," +
+                     obs::kv("levels", pres.levels) + "," +
+                     obs::kv("value", pres.value));
+      else
+        tr->span(tr->host_track(), obs::kCatEngine,
+                 "wave " + std::to_string(rep.waves), now, now + run_ns,
+                 obs::kv("batch", batch) + "," + obs::kv("levels", ran.levels));
     }
-    for (int l = 0; l < batch; ++l) {
-      auto& r = rep.results[wave_idx[static_cast<std::size_t>(l)]];
-      const LaneResult& lr = wr.lanes[static_cast<std::size_t>(l)];
-      r.complete_ns = now + lr.complete_ns;
-      r.epoch = wr.epoch;
-      r.complete_level = lr.complete_level;
-      r.reached = lr.reached;
-      r.visited = lr.visited;
-      latencies[wave_idx[static_cast<std::size_t>(l)]] = r.latency_ns();
-    }
-    if (ec_.sink) ec_.sink(wave, wr, ws_);
 
-    now += wr.wave_ns;
-    rep.busy_ns += wr.wave_ns;
-    rep.levels += wr.levels;
-    rep.recoveries += wr.recoveries;
-    rep.ranks_lost = std::max(rep.ranks_lost, wr.ranks_lost);
-    ++rep.waves;
-    completed += static_cast<std::size_t>(batch);
+    // Settle.
+    for (std::size_t l = 0; l < unit.size(); ++l) {
+      auto& r = rep.results[unit[l].idx];
+      r.epoch = ran.epoch;
+      if (program) {
+        r.complete_ns = now + pres.total_ns;
+        r.complete_level = pres.levels;
+        r.value = pres.value;
+      } else {
+        const LaneResult& lr = wres.lanes[l];
+        r.complete_ns = now + lr.complete_ns;
+        r.complete_level = lr.complete_level;
+        r.reached = lr.reached;
+        r.visited = lr.visited;
+      }
+      latencies[unit[l].idx] = r.latency_ns();
+    }
+    if (program && ec_.program_sink) ec_.program_sink(head, pres, *pstate);
+    if (!program && ec_.sink) ec_.sink(wave, wres, ws_);
+
+    now += run_ns;
+    rep.busy_ns += run_ns;
+    rep.levels += ran.levels;
+    rep.recoveries += ran.recoveries;
+    rep.ranks_lost = std::max(rep.ranks_lost, ran.ranks_lost);
+    ++(program ? rep.program_runs : rep.waves);
+    completed += unit.size();
   }
 
   rep.total_ns = now;

@@ -158,7 +158,7 @@ void LevelDriver::exchange() {
 
   using Kind = bfs::AllgatherPlan::Kind;
   const bfs::AllgatherPlan plan = bfs::select_allgather_plan(c, cfg, degraded);
-  const cm::CollTimes qt = plan.times(c, chunk_bytes);
+  cm::CollTimes qt = plan.times(c, chunk_bytes);
   if (plan.kind == Kind::private_replicas ||
       (plan.kind == Kind::leader && acts_leader)) {
     // Private replicas: every rank assembles its own. Node-shared frontier:
@@ -183,22 +183,15 @@ void LevelDriver::exchange() {
     }
   }
 
+  // A degraded fabric stretches the inter-node stage; the presence-bitmap
+  // decode overlaps the wire, as in the hybrid exchange.
+  bfs::stretch_degraded(p_, qt);
   double total_ns = qt.total_ns;
-  if (inj != nullptr) {
-    // A degraded fabric stretches the inter-node stage.
-    const double lf = inj->min_link_factor(p_.clock.now_ns());
-    total_ns += qt.inter_ns * (1.0 / lf - 1.0);
-  }
-  if (presence_coded) {
-    // Chunk-pipelined overlap of the presence-bitmap decode with the wire
-    // (coll_model::pipelined2_ns), as in the hybrid exchange.
-    const double dec_ns =
-        u.stream_pass_ns(plan.assembled_chunks(c) * ((block + 63) / 64));
-    const double seq_ns = total_ns + dec_ns;
-    total_ns = cm::pipelined2_ns(total_ns, dec_ns,
-                                 std::max(1, cfg.exchange_chunks));
-    p_.prof.add_overlap_saved(seq_ns - total_ns);
-  }
+  if (presence_coded)
+    total_ns = bfs::overlap_decode(
+        p_, total_ns,
+        u.stream_pass_ns(plan.assembled_chunks(c) * ((block + 63) / 64)),
+        std::max(1, cfg.exchange_chunks));
   p_.charge(phase, total_ns);
   p_.barrier(world, phase);  // the collective completes together
   p_.trace_instant(obs::kCatEngine, spec_.exchange_event,

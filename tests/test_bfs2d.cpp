@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
+#include "bfs/hybrid.hpp"
 #include "faults/errors.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
+#include "graph/dist_graph.hpp"
 #include "graph/reference_bfs.hpp"
 #include "graph/rmat.hpp"
 #include "graph/validate.hpp"
@@ -275,6 +278,19 @@ TEST(Bfs2d, RejectsBadShapes) {
   EXPECT_THROW(
       run_bfs_2d(c4, d, static_cast<graph::Vertex>(g.num_vertices())),
       std::invalid_argument);
+  // Non-positive grid arguments.
+  EXPECT_THROW(Grid2d::make(1000, 0), std::invalid_argument);
+  EXPECT_THROW(Grid2d::make(1000, 4, 0), std::invalid_argument);
+  // Contradictory options: the shared bfs::Config rule, prefixed by the
+  // entry point.
+  Bfs2dOptions o;
+  o.exchange_chunks = 4;  // pipelining with the codec off
+  try {
+    run_bfs_2d(c4, d, 0, nullptr, o);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "run_bfs_2d: " + o.validate());
+  }
 }
 
 TEST(Bfs2d, ExpandSmallerThanOneDAllgather) {
@@ -334,6 +350,108 @@ TEST(Bfs2dFaults, RefusesCrashPlanWithoutCheckpointing) {
       c.nranks(), c.ppn()));
   EXPECT_THROW(run_bfs_2d(c, d, first_root(g)), faults::FaultError);
   c.set_fault_injector(nullptr);
+}
+
+// --- one level loop under both decompositions ---------------------------
+// The 1-D and the 2-D run reduce the same global nf, mf and remaining edges
+// at every level, so the shared Beamer loop must take the same directions
+// and record the same per-level frontiers; any drift means the switch rule
+// forked between the decompositions.
+
+struct BothLoops {
+  bfs::BfsRunResult one_d;
+  Bfs2dResult two_d;
+};
+
+BothLoops run_both(const graph::Csr& g, graph::Vertex root,
+                   bfs::Direction dir, const char* faults = nullptr) {
+  constexpr int kNodes = 4;
+  constexpr int kPpn = 4;
+  const auto cluster = [&] {
+    auto c = std::make_unique<rt::Cluster>(
+        sim::Topology::xeon_x7550_cluster(kNodes), sim::CostParams{}, kPpn);
+    if (faults != nullptr)
+      c->set_fault_injector(std::make_shared<faults::FaultInjector>(
+          faults::FaultPlan::parse(faults), c->nranks(), c->ppn()));
+    return c;
+  };
+  BothLoops r;
+  bfs::Config cfg;
+  cfg.direction = dir;
+  const graph::DistGraph d1 = graph::DistGraph::build(
+      g, graph::Partition1D(g.num_vertices(), kNodes * kPpn));
+  bfs::DistState st(d1, cfg, kNodes, kPpn);
+  r.one_d = bfs::run_bfs(*cluster(), d1, st, root);
+  Bfs2dOptions o;
+  o.direction = dir;
+  const DistGraph2d d2 = DistGraph2d::build(
+      g, Grid2d::make(g.num_vertices(), kNodes * kPpn, kPpn));
+  r.two_d = run_bfs_2d(*cluster(), d2, root, nullptr, o);
+  return r;
+}
+
+void expect_same_loop(const BothLoops& r) {
+  EXPECT_EQ(r.one_d.directions, r.two_d.directions);
+  EXPECT_EQ(r.one_d.visited, r.two_d.visited);
+  EXPECT_EQ(r.one_d.traversed_directed_edges,
+            r.two_d.traversed_directed_edges);
+  ASSERT_EQ(r.one_d.trace.size(), r.two_d.trace.size());
+  for (std::size_t l = 0; l < r.one_d.trace.size(); ++l) {
+    EXPECT_EQ(r.one_d.trace[l].frontier_vertices,
+              r.two_d.trace[l].frontier_vertices)
+        << "level " << l;
+    EXPECT_EQ(r.one_d.trace[l].discovered, r.two_d.trace[l].discovered)
+        << "level " << l;
+  }
+}
+
+graph::Vertex hub(const graph::Csr& g) {
+  graph::Vertex h = 0;
+  for (std::uint64_t v = 1; v < g.num_vertices(); ++v)
+    if (g.degree(static_cast<graph::Vertex>(v)) > g.degree(h))
+      h = static_cast<graph::Vertex>(v);
+  return h;
+}
+
+TEST(BfsLoopAcrossDecompositions, SameDirectionsAndLevelsUnderEveryPolicy) {
+  // A low-degree root starts top-down; at scale 9 the hub's degree beats
+  // the remaining edges / alpha, so the hybrid seeds bottom-up.
+  const graph::Csr small = make_csr(9, 13);
+  const graph::Csr large = make_csr(11, 13);
+  const std::pair<const graph::Csr*, graph::Vertex> roots[] = {
+      {&large, first_root(large)}, {&small, hub(small)}};
+  for (const auto& [g, root] : roots)
+    for (bfs::Direction dir :
+         {bfs::Direction::hybrid, bfs::Direction::top_down_only,
+          bfs::Direction::bottom_up_only}) {
+      SCOPED_TRACE(std::string(bfs::to_string(dir)) + " root " +
+                   std::to_string(root));
+      const BothLoops r = run_both(*g, root, dir);
+      expect_same_loop(r);
+      const auto& d = r.one_d.directions;
+      ASSERT_FALSE(d.empty());
+      const bool td = std::count(d.begin(), d.end(), 0) > 0;
+      const bool bu = std::count(d.begin(), d.end(), 1) > 0;
+      EXPECT_EQ(td, dir != bfs::Direction::bottom_up_only);
+      EXPECT_EQ(bu, dir != bfs::Direction::top_down_only);
+      if (dir == bfs::Direction::hybrid) {
+        EXPECT_EQ(d.front(), g == &small ? 1 : 0);
+      }
+    }
+}
+
+TEST(BfsLoopAcrossDecompositions, SameRecoveryUnderARankCrash) {
+  const graph::Csr g = make_csr(11, 13);
+  const graph::Vertex root = first_root(g);
+  const BothLoops clean = run_both(g, root, bfs::Direction::hybrid);
+  const BothLoops r =
+      run_both(g, root, bfs::Direction::hybrid, "crash:rank=2@level=2");
+  expect_same_loop(r);
+  EXPECT_EQ(r.one_d.recoveries, 1);
+  EXPECT_EQ(r.two_d.recoveries, 1);
+  // The rolled-back level re-runs to the crash-free result.
+  EXPECT_EQ(r.two_d.directions, clean.two_d.directions);
+  EXPECT_EQ(r.two_d.visited, clean.two_d.visited);
 }
 
 }  // namespace
